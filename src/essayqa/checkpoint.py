@@ -22,7 +22,7 @@ import numpy as np
 
 from .encoder import EncoderConfig
 from .errors import CheckpointError
-from .model import ModelBundle
+from .model import ModelBundle, param_shapes
 from .qnorm import RewriteRuleSet
 from .seqbuild import Vocabulary
 
@@ -88,6 +88,7 @@ def load_model(path: str) -> ModelBundle:
         trailing = fh.read(1)
         if trailing:
             raise CheckpointError(f"{path}: trailing bytes after tensor payload")
+    _check_tensors(path, params, config)
     vocab = Vocabulary(header["vocab"])
     if vocab.fingerprint() != header.get("vocab_fingerprint"):
         raise CheckpointError(f"{path}: vocabulary fingerprint mismatch")
@@ -107,3 +108,22 @@ def load_model(path: str) -> ModelBundle:
         rv_beta2=float(ver["beta2"]),
         zeta=float(ver["zeta"]),
     )
+
+
+def _check_tensors(path: str, params: dict[str, np.ndarray], config: EncoderConfig) -> None:
+    """The tensors must be exactly those the config describes, at its dtype."""
+    expected = param_shapes(config)
+    missing = [name for name in expected if name not in params]
+    if missing:
+        raise CheckpointError(f"{path}: missing tensors {missing[:5]}")
+    extra = [name for name in params if name not in expected]
+    if extra:
+        raise CheckpointError(f"{path}: tensors not in the config {extra[:5]}")
+    for name, shape in expected.items():
+        arr = params[name]
+        if arr.shape != shape:
+            raise CheckpointError(
+                f"{path}: tensor {name!r} has shape {arr.shape}, config needs {shape}")
+        if arr.dtype != config.np_dtype:
+            raise CheckpointError(
+                f"{path}: tensor {name!r} is {arr.dtype}, config needs {config.dtype}")

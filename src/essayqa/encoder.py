@@ -18,6 +18,7 @@ the bare attention-then-FFN form:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -66,33 +67,53 @@ class EncoderConfig:
         return cls(**d)
 
 
-def init_encoder_params(cfg: EncoderConfig, rng: np.random.Generator) -> dict[str, np.ndarray]:
-    """Seeded initialization: normal(0, 0.02) weights, zero biases, unit gains."""
-    dt = cfg.np_dtype
-    p: dict[str, np.ndarray] = {}
-
-    def w(shape):
-        return rng.normal(0.0, 0.02, size=shape).astype(dt)
-
-    p["tok_emb"] = w((cfg.vocab_size, cfg.d_model))
-    p["pos_emb"] = w((cfg.max_len, cfg.d_model))
+def encoder_param_shapes(cfg: EncoderConfig) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every encoder tensor, in initialization order."""
+    d, f = cfg.d_model, cfg.ffn_inner
+    shapes = {"tok_emb": (cfg.vocab_size, d), "pos_emb": (cfg.max_len, d)}
     for i in range(cfg.layers):
         pre = f"layer{i}"
-        p[f"{pre}.attn.w_q"] = w((cfg.d_model, cfg.d_model))
-        p[f"{pre}.attn.w_k"] = w((cfg.d_model, cfg.d_model))
-        p[f"{pre}.attn.w_v"] = w((cfg.d_model, cfg.d_model))
-        p[f"{pre}.attn.w_o"] = w((cfg.d_model, cfg.d_model))
-        p[f"{pre}.attn.b_o"] = np.zeros(cfg.d_model, dtype=dt)
-        p[f"{pre}.ffn.w1"] = w((cfg.d_model, cfg.ffn_inner))
-        p[f"{pre}.ffn.b1"] = np.zeros(cfg.ffn_inner, dtype=dt)
-        p[f"{pre}.ffn.w2"] = w((cfg.ffn_inner, cfg.d_model))
-        p[f"{pre}.ffn.b2"] = np.zeros(cfg.d_model, dtype=dt)
+        shapes.update({
+            f"{pre}.attn.w_q": (d, d),
+            f"{pre}.attn.w_k": (d, d),
+            f"{pre}.attn.w_v": (d, d),
+            f"{pre}.attn.w_o": (d, d),
+            f"{pre}.attn.b_o": (d,),
+            f"{pre}.ffn.w1": (d, f),
+            f"{pre}.ffn.b1": (f,),
+            f"{pre}.ffn.w2": (f, d),
+            f"{pre}.ffn.b2": (d,),
+        })
         if cfg.use_residual_norm:
-            p[f"{pre}.ln1.gain"] = np.ones(cfg.d_model, dtype=dt)
-            p[f"{pre}.ln1.bias"] = np.zeros(cfg.d_model, dtype=dt)
-            p[f"{pre}.ln2.gain"] = np.ones(cfg.d_model, dtype=dt)
-            p[f"{pre}.ln2.bias"] = np.zeros(cfg.d_model, dtype=dt)
+            shapes.update({
+                f"{pre}.ln1.gain": (d,),
+                f"{pre}.ln1.bias": (d,),
+                f"{pre}.ln2.gain": (d,),
+                f"{pre}.ln2.bias": (d,),
+            })
+    return shapes
+
+
+def init_params(shapes: dict[str, tuple[int, ...]], cfg: EncoderConfig,
+                rng: np.random.Generator) -> dict[str, np.ndarray]:
+    """Seeded initialization, by the tensor name's last part: unit "gain",
+    zero biases ("b*"), normal(0, 0.02) weights drawn in ``shapes`` order."""
+    dt = cfg.np_dtype
+    p: dict[str, np.ndarray] = {}
+    for name, shape in shapes.items():
+        leaf = name.rsplit(".", 1)[-1]
+        if leaf == "gain":
+            p[name] = np.ones(shape, dtype=dt)
+        elif leaf.startswith("b"):
+            p[name] = np.zeros(shape, dtype=dt)
+        else:
+            p[name] = rng.normal(0.0, 0.02, size=shape).astype(dt)
     return p
+
+
+def init_encoder_params(cfg: EncoderConfig, rng: np.random.Generator) -> dict[str, np.ndarray]:
+    """Seeded initialization: normal(0, 0.02) weights, zero biases, unit gains."""
+    return init_params(encoder_param_shapes(cfg), cfg, rng)
 
 
 def softmax_last(x: np.ndarray) -> np.ndarray:
@@ -146,7 +167,7 @@ def _attn_forward(h_in, lp, cfg: EncoderConfig, mask=None):
     q = _split_heads(h_in @ lp["w_q"], cfg.heads)
     k = _split_heads(h_in @ lp["w_k"], cfg.heads)
     v = _split_heads(h_in @ lp["w_v"], cfg.heads)
-    scores = q @ k.transpose(0, 1, 3, 2) / np.sqrt(cfg.d_k)
+    scores = q @ k.transpose(0, 1, 3, 2) / math.sqrt(cfg.d_k)
     if mask is not None:
         scores = np.where(mask[:, None, None, :], scores, _MASKED)
     weights = softmax_last(scores)
@@ -169,7 +190,7 @@ def _attn_backward(dout, cache, lp, cfg: EncoderConfig):
     dweights = do_h @ v.transpose(0, 1, 3, 2)
     dv = weights.transpose(0, 1, 3, 2) @ do_h
     rowdot = (dweights * weights).sum(axis=-1, keepdims=True)
-    dscores = (dweights - rowdot) * weights / np.sqrt(cfg.d_k)
+    dscores = (dweights - rowdot) * weights / math.sqrt(cfg.d_k)
     dq = dscores @ k
     dk = dscores.transpose(0, 1, 3, 2) @ q
 

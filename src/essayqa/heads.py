@@ -18,20 +18,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoder import EncoderConfig, softmax_last
+from .encoder import EncoderConfig, init_params, softmax_last
 from .errors import ValidationError
 
 
-def init_head_params(cfg: EncoderConfig, rng: np.random.Generator) -> dict[str, np.ndarray]:
-    dt = cfg.np_dtype
+def head_param_shapes(cfg: EncoderConfig) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every head tensor, in initialization order."""
+    d = cfg.d_model
     return {
-        "span.w_start": rng.normal(0.0, 0.02, size=cfg.d_model).astype(dt),
-        "span.b_start": np.zeros(1, dtype=dt),
-        "span.w_end": rng.normal(0.0, 0.02, size=cfg.d_model).astype(dt),
-        "span.b_end": np.zeros(1, dtype=dt),
-        "verify.w": rng.normal(0.0, 0.02, size=(cfg.d_model, 2)).astype(dt),
-        "verify.b": np.zeros(2, dtype=dt),
+        "span.w_start": (d,),
+        "span.b_start": (1,),
+        "span.w_end": (d,),
+        "span.b_end": (1,),
+        "verify.w": (d, 2),
+        "verify.b": (2,),
     }
+
+
+def init_head_params(cfg: EncoderConfig, rng: np.random.Generator) -> dict[str, np.ndarray]:
+    return init_params(head_param_shapes(cfg), cfg, rng)
 
 
 @dataclass(frozen=True)

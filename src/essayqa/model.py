@@ -8,8 +8,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .encoder import EncoderConfig, init_encoder_params
-from .heads import init_head_params
+from .encoder import EncoderConfig, encoder_param_shapes, init_params
+from .heads import head_param_shapes
 from .qnorm import RewriteRuleSet
 from .seqbuild import Vocabulary
 
@@ -34,6 +34,12 @@ class ModelBundle:
         return {k: v.copy() for k, v in self.params.items()}
 
 
+def param_shapes(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every tensor a model of this config holds, encoder
+    then heads, in initialization order."""
+    return {**encoder_param_shapes(config), **head_param_shapes(config)}
+
+
 def new_model(vocab: Vocabulary, rules: RewriteRuleSet | None = None,
               config: EncoderConfig | None = None, **config_overrides) -> ModelBundle:
     """Fresh seeded model; config defaults to the desk-scale setup with the
@@ -45,8 +51,7 @@ def new_model(vocab: Vocabulary, rules: RewriteRuleSet | None = None,
     if config.vocab_size != len(vocab):
         config = replace(config, vocab_size=len(vocab))
     rng = np.random.default_rng(config.seed)
-    params = init_encoder_params(config, rng)
-    params.update(init_head_params(config, rng))
+    params = init_params(param_shapes(config), config, rng)
     return ModelBundle(
         config=config,
         params=params,

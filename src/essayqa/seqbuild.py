@@ -29,6 +29,10 @@ RESERVED = (CLS, SEP, UNK, PAD)
 
 MAX_INPUT_LEN = 512
 
+# Entries a Vocabulary's word-piece memo may hold; it is emptied when full.
+WORD_MEMO_CAP = 2 ** 15
+_MISSING = object()
+
 
 class Vocabulary:
     """Ordered term list; id = file line number - 1, reserved ids 0..3."""
@@ -43,6 +47,12 @@ class Vocabulary:
         self.terms = list(terms)
         self.index = {t: i for i, t in enumerate(terms)}
         self._max_piece_len = max(len(t) for t in terms)
+        # Tokenization is a pure function of (text, vocabulary), so each
+        # vocabulary caches its own results: raw word -> ((id, piece, start,
+        # end), ...) relative to the word, or None for [UNK]; and the last
+        # essay that assemble() tokenized, as (essay, tokens).
+        self._word_memo: dict[str, tuple[tuple[int, str, int, int], ...] | None] = {}
+        self._last_essay: tuple[str, tuple[Token, ...]] | None = None
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -113,38 +123,54 @@ def tokenize(text: str, vocab: Vocabulary, segment: str = "essay") -> list[Token
     to a single [UNK] covering the whole word.  Offsets index the original
     text (end exclusive).
     """
+    memo = vocab._word_memo
+    unk_id = vocab.unk_id
     tokens: list[Token] = []
     for word, start, end in split_words(text):
-        lowered = _lower_preserving_length(word)
-        pieces = _greedy_pieces(lowered, vocab)
+        pieces = memo.get(word, _MISSING)
+        if pieces is _MISSING:
+            pieces = _word_pieces(word, vocab)
+            if len(memo) >= WORD_MEMO_CAP:
+                memo.clear()
+            memo[word] = pieces
         if pieces is None:
-            tokens.append(Token(vocab.unk_id, UNK, start, end, segment))
+            tokens.append(Token(unk_id, UNK, start, end, segment))
             continue
-        cursor = start
-        for piece in pieces:
-            tokens.append(
-                Token(vocab.index[piece], piece, cursor, cursor + len(piece), segment)
-            )
-            cursor += len(piece)
+        for piece_id, piece, lo, hi in pieces:
+            tokens.append(Token(piece_id, piece, start + lo, start + hi, segment))
     return tokens
 
 
-def _greedy_pieces(word: str, vocab: Vocabulary) -> list[str] | None:
-    pieces: list[str] = []
+def _word_pieces(word: str, vocab: Vocabulary) -> tuple[tuple[int, str, int, int], ...] | None:
+    """Greedy longest-match pieces of one word as (id, piece, start, end),
+    offsets relative to the word; None when some position matches nothing."""
+    lowered = _lower_preserving_length(word)
+    pieces = []
     pos = 0
     limit = vocab._max_piece_len
-    while pos < len(word):
+    while pos < len(lowered):
         match = None
-        for end in range(min(len(word), pos + limit), pos, -1):
-            piece = word[pos:end]
+        for end in range(min(len(lowered), pos + limit), pos, -1):
+            piece = lowered[pos:end]
             if piece in vocab.index and piece not in RESERVED:
                 match = piece
                 break
         if match is None:
             return None
-        pieces.append(match)
+        pieces.append((vocab.index[match], match, pos, pos + len(match)))
         pos += len(match)
-    return pieces
+    return tuple(pieces)
+
+
+def _essay_tokens(essay: str, vocab: Vocabulary) -> tuple[Token, ...]:
+    """Essay-segment tokens, reused while consecutive calls share the essay
+    (the requirements of one request, or examples sharing a context)."""
+    last = vocab._last_essay
+    if last is not None and last[0] == essay:
+        return last[1]
+    tokens = tuple(tokenize(essay, vocab, segment="essay"))
+    vocab._last_essay = (essay, tokens)
+    return tokens
 
 
 @dataclass(frozen=True)
@@ -195,7 +221,7 @@ def assemble(
         raise OversizedQuestionError(
             f"question occupies {m} tokens; no essay token fits in max_len={max_len}"
         )
-    e_tokens = tokenize(essay, vocab, segment="essay")
+    e_tokens = _essay_tokens(essay, vocab)
     budget = max_len - m - 2
     truncated = len(e_tokens) > budget
     if truncated:

@@ -7,12 +7,13 @@ import sys
 import numpy as np
 import pytest
 
+from essayqa import qnorm, seqbuild
 from essayqa.checkpoint import save_model
 from essayqa.errors import ValidationError
 from essayqa.evalharness import evaluate_model
 from essayqa.model import new_model
 from essayqa.pipeline import EvaluationRequest, evaluate, infer_verdict
-from essayqa.seqbuild import build_vocab
+from essayqa.seqbuild import Vocabulary, assemble, build_vocab
 from essayqa.synthetic import SyntheticConfig, generate_synthetic
 from essayqa.train import Stage, TrainConfig, multi_stage_train
 
@@ -107,6 +108,64 @@ class TestEvaluate:
             for r in reqs
         ]
         assert batch == singles
+
+
+class TestEvaluateTokenizesOnce:
+    """evaluate() reuses one essay tokenization across requirements; the
+    sequences must equal independent assemble() calls on a cold vocabulary."""
+
+    def _captured(self, monkeypatch, request):
+        built = []
+
+        def recording(*args, **kwargs):
+            seq = assemble(*args, **kwargs)
+            built.append(seq)
+            return seq
+
+        monkeypatch.setattr(seqbuild, "assemble", recording)
+        verdicts = evaluate(request)
+        assert len(verdicts) == len(request.requirements) == len(built)
+        return built
+
+    def _independent(self, request, max_len):
+        model = request.model
+        return [
+            assemble(qnorm.normalize(req, model.rules), request.essay,
+                     Vocabulary(model.vocab.terms), max_len=max_len)
+            for req in request.requirements
+        ]
+
+    @pytest.mark.parametrize("max_len", [512, 80])
+    def test_three_requirements_match_independent_assembly(self, monkeypatch, max_len):
+        probe = generate_synthetic(SyntheticConfig(count=3, answerable_ratio=1.0,
+                                                   seed=81))
+        texts = [t for ex in probe for t in (ex.question, ex.context)]
+        model = new_model(build_vocab(texts, size=300), seed=0, max_len=max_len)
+        essay = probe[0].context
+        long_question = "What will you do " + " ".join(["in the summer"] * 3) + " ?"
+        request = EvaluationRequest(
+            essay=essay, requirements=(probe[0].question, long_question, probe[1].question),
+            model=model)
+        essay_tokenizations = []
+        real_tokenize = seqbuild.tokenize
+
+        def counting(text, vocab, segment="essay"):
+            if segment == "essay":
+                essay_tokenizations.append(text)
+            return real_tokenize(text, vocab, segment)
+
+        monkeypatch.setattr(seqbuild, "tokenize", counting)
+        built = self._captured(monkeypatch, request)
+        assert essay_tokenizations == [essay]
+        monkeypatch.undo()
+        expected = self._independent(request, max_len)
+        for got, want in zip(built, expected):
+            assert got.tokens == want.tokens
+            assert (got.m, got.n, got.truncated) == (want.m, want.n, want.truncated)
+        if max_len == 80:
+            # only the long question leaves too few slots for the whole essay
+            assert [seq.truncated for seq in built] == [False, True, False]
+            assert built[1].tau == 80
 
 
 def run_cli(args, **kwargs):

@@ -1,10 +1,14 @@
 """Tokenizer, vocabulary, and input assembly: offset fidelity, the
 tau = m + n + 2 arithmetic, and truncation boundaries."""
 
+import sys
+import threading
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from essayqa import seqbuild
 from essayqa.errors import OversizedQuestionError, ValidationError, VocabularyError
 from essayqa.seqbuild import (
     CLS,
@@ -181,3 +185,116 @@ class TestProperties:
             return
         assert seq.tau <= max_len
         assert seq.tau == seq.m + seq.n + 2
+
+
+# Characters whose lowercase differs in length ("İ" -> "i̇"), a final sigma,
+# characters outside the vocabulary, and punctuation.
+MEMO_WORDS = WORD_POOL + ("İstanbul", "İ", "ΟΔΟΣ", "Σ", "straẞe", "Ünïcode", "x?y", "42")
+MEMO_TERMS = build_vocab([" ".join(WORD_POOL), "istanbul οδος ς σ"], size=120).terms
+
+
+@st.composite
+def memo_texts(draw):
+    words = draw(st.lists(st.sampled_from(MEMO_WORDS) | st.text(min_size=1, max_size=6),
+                          min_size=0, max_size=30))
+    return " ".join(words)
+
+
+class TestTokenizationReuse:
+    @given(st.lists(memo_texts(), min_size=1, max_size=6))
+    @example(["İ Σ", "İstanbul ΟΔΟΣ x?y"])
+    @settings(max_examples=150, deadline=None)
+    def test_warm_memo_matches_fresh_vocabulary(self, texts):
+        warm = Vocabulary(MEMO_TERMS)
+        for text in texts:
+            assert tokenize(text, warm) == tokenize(text, Vocabulary(MEMO_TERMS))
+        for text in texts:  # every word now memoized
+            assert tokenize(text, warm, "question") == \
+                tokenize(text, Vocabulary(MEMO_TERMS), "question")
+
+    def test_length_changing_lowercase_keeps_offsets(self):
+        # "İ" lowers to two characters, so it is matched as is
+        text = "İstanbul ΟΔΟΣ İ"
+        warm = Vocabulary(MEMO_TERMS)
+        first = tokenize(text, warm)
+        assert tokenize(text, warm) == first == tokenize(text, Vocabulary(MEMO_TERMS))
+        assert [(t.surface, t.char_start) for t in first[:2]] == [(UNK, 0), ("s", 1)]
+        assert first[-1].char_end == len(text)
+
+    def test_vocabularies_never_share_entries(self):
+        a = Vocabulary(list(RESERVED) + ["a", "b", "ab"])
+        b = Vocabulary(list(RESERVED) + ["ab", "b", "a"])
+        assert [t.id for t in tokenize("ab ba", a)] == [6, 5, 4]
+        assert [t.id for t in tokenize("ab ba", b)] == [4, 5, 6]
+        assert a._word_memo is not b._word_memo
+        assert a._word_memo["ab"] == ((6, "ab", 0, 2),)
+        assert b._word_memo["ab"] == ((4, "ab", 0, 2),)
+        seq_a = assemble("a", "ab ba", a)
+        seq_b = assemble("a", "ab ba", b)
+        assert [t.id for t in seq_a.tokens[3:]] == [6, 5, 4]
+        assert [t.id for t in seq_b.tokens[3:]] == [4, 5, 6]
+
+    def test_cap_bounds_memo_and_keeps_tokens(self, monkeypatch):
+        monkeypatch.setattr(seqbuild, "WORD_MEMO_CAP", 8)
+        terms = list(RESERVED) + list("abcdefghijklmnopqrstuvwxyz")
+        vocab = Vocabulary(terms)
+        words = [a + b for a in "abcdef" for b in "ghij"]  # 24 distinct words
+        text = " ".join(words + words[::-1])
+        for _ in range(3):
+            assert tokenize(text, vocab) == tokenize(text, Vocabulary(terms))
+            assert len(vocab._word_memo) <= 8
+
+    def test_repeated_essay_assembles_like_fresh(self, tiny_vocab):
+        essay = "I will travel to Japan in the summer to meet Sally " * 8
+        questions = ["will travel", "what will you do in the summer vacation", "meet"]
+        vocab = Vocabulary(tiny_vocab.terms)
+        for q in questions:
+            for max_len in (512, 30, 16):
+                assert assemble(q, essay, vocab, max_len=max_len) == \
+                    assemble(q, essay, Vocabulary(tiny_vocab.terms), max_len=max_len)
+
+    def test_essay_memo_follows_the_essay(self, tiny_vocab):
+        vocab = Vocabulary(tiny_vocab.terms)
+        first = assemble("meet", "I will travel", vocab)
+        second = assemble("meet", "I will travel to Japan", vocab)
+        again = assemble("meet", "I will travel", vocab)
+        assert second.n == 5
+        assert first == again
+        assert vocab._last_essay[0] == "I will travel"
+
+    def test_shared_vocabulary_under_threads(self, monkeypatch, tiny_vocab):
+        # Concurrent callers may repeat work but must never see another
+        # essay's tokens; a small cap makes the memo clear often.
+        monkeypatch.setattr(seqbuild, "WORD_MEMO_CAP", 16)
+        essays = [f"I will travel to Japan {i} with Sally {i * 7} in the summer"
+                  for i in range(6)]
+        questions = ["will travel", "meet Sally", "the summer vacation"]
+        want = {(q, e): assemble(q, e, Vocabulary(tiny_vocab.terms), max_len=20)
+                for q in questions for e in essays}
+        shared = Vocabulary(tiny_vocab.terms)
+        errors = []
+
+        def worker(offset):
+            try:
+                for step in range(150):
+                    e = essays[(step + offset) % len(essays)]
+                    q = questions[step % len(questions)]
+                    if assemble(q, e, shared, max_len=20) != want[(q, e)]:
+                        errors.append((q, e))
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        # each thread adds at most one word between the size check and the store
+        assert len(shared._word_memo) <= 16 + len(threads)

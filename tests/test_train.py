@@ -1,19 +1,22 @@
 """Training loop: example preparation, overfit capacity, determinism,
 threshold selection, and multi-stage threading with checkpoint resume."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from essayqa.checkpoint import load_model, save_model
 from essayqa.corpus import GoldAnswer, QAExample
 from essayqa.encoder import encode
-from essayqa.errors import ValidationError
+from essayqa.errors import CheckpointError, ValidationError
 from essayqa.heads import span_probabilities
-from essayqa.model import new_model
+from essayqa.model import new_model, param_shapes
 from essayqa.qnorm import RewriteRuleSet
 from essayqa.seqbuild import build_vocab
 from essayqa.synthetic import SyntheticConfig, generate_synthetic
 from essayqa.train import (
+    Adam,
     Stage,
     TrainConfig,
     loss_and_grads,
@@ -278,3 +281,67 @@ class TestCheckpointFormat:
 
         with pytest.raises(CheckpointError):
             load_model(str(path))
+
+
+class TestDtype:
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_dtype_kept_through_training_and_checkpoint(self, dtype, tmp_path):
+        corpus = small_corpus(8, seed=21)
+        model = desk_model(corpus, dtype=dtype)
+        want = np.dtype(dtype)
+        assert all(v.dtype == want for v in model.params.values())
+        examples, _ = prepare_examples(corpus, model.vocab, RULES, 512)
+        h = encode(examples[0].ids, model.params, model.config)
+        assert h.dtype == want
+        assert span_probabilities(h, model.params).prob_start.dtype == want
+        _, grads = loss_and_grads(model.params, model.config, examples[:4],
+                                  pad_id=model.vocab.pad_id)
+        assert {k: g.dtype for k, g in grads.items()} == {k: want for k in model.params}
+        params = dict(model.params)
+        Adam(params, TrainConfig()).step(params, grads, lr=1e-3)
+        assert {k: v.dtype for k, v in params.items()} == {k: want for k in params}
+        path = tmp_path / "m.ckpt"
+        save_model(replace(model, params=params), str(path))
+        loaded = load_model(str(path))
+        for name, arr in params.items():
+            assert loaded.params[name].dtype == want
+            assert np.array_equal(loaded.params[name], arr)
+
+
+class TestCheckpointMatchesConfig:
+    def _saved(self, tmp_path, edit):
+        model = desk_model(small_corpus(6))
+        params = dict(model.params)
+        edit(params)
+        path = tmp_path / "m.ckpt"
+        save_model(replace(model, params=params), str(path))
+        return str(path)
+
+    def test_shapes_name_every_initialized_tensor(self):
+        model = desk_model(small_corpus(6))
+        shapes = param_shapes(model.config)
+        assert list(shapes) == list(model.params)
+        assert all(model.params[k].shape == shapes[k] for k in shapes)
+
+    def test_missing_tensor_rejected(self, tmp_path):
+        path = self._saved(tmp_path, lambda p: p.pop("layer1.ffn.b2"))
+        with pytest.raises(CheckpointError, match="missing"):
+            load_model(path)
+
+    def test_extra_tensor_rejected(self, tmp_path):
+        path = self._saved(tmp_path, lambda p: p.update(stray=np.zeros(3)))
+        with pytest.raises(CheckpointError, match="stray"):
+            load_model(path)
+
+    def test_wrong_shape_rejected(self, tmp_path):
+        path = self._saved(tmp_path, lambda p: p.update({"verify.b": np.zeros(3)}))
+        with pytest.raises(CheckpointError, match="shape"):
+            load_model(path)
+
+    def test_wrong_dtype_rejected(self, tmp_path):
+        def to_f4(p):
+            p["span.w_end"] = p["span.w_end"].astype(np.float32)
+
+        path = self._saved(tmp_path, to_f4)
+        with pytest.raises(CheckpointError, match="float32"):
+            load_model(path)
