@@ -116,22 +116,30 @@ def init_encoder_params(cfg: EncoderConfig, rng: np.random.Generator) -> dict[st
     return init_params(encoder_param_shapes(cfg), cfg, rng)
 
 
-def softmax_last(x: np.ndarray) -> np.ndarray:
-    """Numerically stable softmax along the last axis (max subtraction)."""
-    z = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+def softmax_last(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Numerically stable softmax along the last axis (max subtraction).
+
+    The row max is subtracted into ``out`` (a new array when None; ``out=x``
+    normalizes ``x`` in place), then exp and the divide run in place there, so
+    the result is bit-identical to ``exp(x - max) / sum`` and is ``out``.
+    """
+    z = np.subtract(x, x.max(axis=-1, keepdims=True), out=out)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
 
 
 # ---------------------------------------------------------------- layernorm
 
 
 def _ln_forward(x, gain, bias):
-    mu = x.mean(axis=-1, keepdims=True)
-    var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
+    xhat = x - x.mean(axis=-1, keepdims=True)
+    var = (xhat ** 2).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = (x - mu) * inv
-    return xhat * gain + bias, (xhat, inv, gain)
+    xhat *= inv
+    y = xhat * gain
+    y += bias
+    return y, (xhat, inv, gain)
 
 
 def _ln_backward(dy, cache):
@@ -145,6 +153,11 @@ def _ln_backward(dy, cache):
 
 
 # ---------------------------------------------------------------- attention
+#
+# Sublayer functions read their tensors as ``p[pre + name]``: ``p`` is the
+# full parameter dict with ``pre = "layer{i}.attn."`` etc., or a layer dict
+# with the layer prefix already stripped.  Backward functions add their
+# gradients to ``grads`` under the same keys.
 
 
 def _split_heads(x, heads):
@@ -157,76 +170,81 @@ def _merge_heads(x):
     return x.transpose(0, 2, 1, 3).reshape(b, t, h * dk)
 
 
-def _attn_forward(h_in, lp, cfg: EncoderConfig, mask=None):
+def _attn_forward(h_in, p, pre, cfg: EncoderConfig, mask=None):
     """Multi-head scaled dot-product attention with output projection.
 
     mask: optional (B, T) boolean, True at real positions; padded key columns
-    are excluded from every softmax row.
+    are excluded from every softmax row.  The scores are scaled, masked and
+    normalized inside the one (B, heads, T, T) array the matmul returns.
     Returns (out, weights, cache) with weights (B, heads, T, T).
     """
-    q = _split_heads(h_in @ lp["w_q"], cfg.heads)
-    k = _split_heads(h_in @ lp["w_k"], cfg.heads)
-    v = _split_heads(h_in @ lp["w_v"], cfg.heads)
-    scores = q @ k.transpose(0, 1, 3, 2) / math.sqrt(cfg.d_k)
+    q = _split_heads(h_in @ p[pre + "w_q"], cfg.heads)
+    k = _split_heads(h_in @ p[pre + "w_k"], cfg.heads)
+    v = _split_heads(h_in @ p[pre + "w_v"], cfg.heads)
+    weights = q @ k.transpose(0, 1, 3, 2)
+    weights /= math.sqrt(cfg.d_k)
     if mask is not None:
-        scores = np.where(mask[:, None, None, :], scores, _MASKED)
-    weights = softmax_last(scores)
+        np.copyto(weights, _MASKED, where=~mask[:, None, None, :])
+    softmax_last(weights, out=weights)
     ctx = _merge_heads(weights @ v)
-    out = ctx @ lp["w_o"] + lp["b_o"]
+    out = ctx @ p[pre + "w_o"]
+    out += p[pre + "b_o"]
     cache = (h_in, q, k, v, weights, ctx)
     return out, weights, cache
 
 
-def _attn_backward(dout, cache, lp, cfg: EncoderConfig):
+def _attn_backward(dout, cache, p, pre, cfg: EncoderConfig, grads):
     h_in, q, k, v, weights, ctx = cache
-    b, t, d = h_in.shape
     flat = lambda x: x.reshape(-1, x.shape[-1])
 
     d_wo = flat(ctx).T @ flat(dout)
     d_bo = dout.sum(axis=(0, 1))
-    dctx = dout @ lp["w_o"].T
-    do_h = _split_heads(dctx, cfg.heads)
+    do_h = _split_heads(dout @ p[pre + "w_o"].T, cfg.heads)
 
-    dweights = do_h @ v.transpose(0, 1, 3, 2)
     dv = weights.transpose(0, 1, 3, 2) @ do_h
-    rowdot = (dweights * weights).sum(axis=-1, keepdims=True)
-    dscores = (dweights - rowdot) * weights / math.sqrt(cfg.d_k)
+    # d weights, turned into d scores in place: (dw - rowdot) * w / sqrt(d_k)
+    dscores = do_h @ v.transpose(0, 1, 3, 2)
+    dscores -= (dscores * weights).sum(axis=-1, keepdims=True)
+    dscores *= weights
+    dscores /= math.sqrt(cfg.d_k)
     dq = dscores @ k
     dk = dscores.transpose(0, 1, 3, 2) @ q
 
     dq_lin = _merge_heads(dq)
     dk_lin = _merge_heads(dk)
     dv_lin = _merge_heads(dv)
-    d_wq = flat(h_in).T @ flat(dq_lin)
-    d_wk = flat(h_in).T @ flat(dk_lin)
-    d_wv = flat(h_in).T @ flat(dv_lin)
-    dh = dq_lin @ lp["w_q"].T + dk_lin @ lp["w_k"].T + dv_lin @ lp["w_v"].T
-    grads = {"w_q": d_wq, "w_k": d_wk, "w_v": d_wv, "w_o": d_wo, "b_o": d_bo}
-    return dh, grads
+    grads[pre + "w_q"] = flat(h_in).T @ flat(dq_lin)
+    grads[pre + "w_k"] = flat(h_in).T @ flat(dk_lin)
+    grads[pre + "w_v"] = flat(h_in).T @ flat(dv_lin)
+    grads[pre + "w_o"] = d_wo
+    grads[pre + "b_o"] = d_bo
+    return dq_lin @ p[pre + "w_q"].T + dk_lin @ p[pre + "w_k"].T + dv_lin @ p[pre + "w_v"].T
 
 
 # ---------------------------------------------------------------- ffn
 
 
-def _ffn_forward(a, lp):
-    u = a @ lp["w1"] + lp["b1"]
-    r = np.maximum(0.0, u)
-    out = r @ lp["w2"] + lp["b2"]
-    return out, (a, u, r)
+def _ffn_forward(a, p, pre):
+    r = a @ p[pre + "w1"]
+    r += p[pre + "b1"]
+    np.maximum(0.0, r, out=r)
+    out = r @ p[pre + "w2"]
+    out += p[pre + "b2"]
+    return out, (a, r)
 
 
-def _ffn_backward(dout, cache, lp):
-    a, u, r = cache
+def _ffn_backward(dout, cache, p, pre, grads):
+    a, r = cache
     flat = lambda x: x.reshape(-1, x.shape[-1])
     d_w2 = flat(r).T @ flat(dout)
     d_b2 = dout.sum(axis=(0, 1))
-    dr = dout @ lp["w2"].T
-    du = dr * (u > 0)
-    d_w1 = flat(a).T @ flat(du)
-    d_b1 = du.sum(axis=(0, 1))
-    da = du @ lp["w1"].T
-    grads = {"w1": d_w1, "b1": d_b1, "w2": d_w2, "b2": d_b2}
-    return da, grads
+    du = dout @ p[pre + "w2"].T
+    du *= r > 0  # r = relu(u), so r > 0 exactly where u > 0
+    grads[pre + "w1"] = flat(a).T @ flat(du)
+    grads[pre + "b1"] = du.sum(axis=(0, 1))
+    grads[pre + "w2"] = d_w2
+    grads[pre + "b2"] = d_b2
+    return du @ p[pre + "w1"].T
 
 
 # ---------------------------------------------------------------- layers
@@ -238,42 +256,32 @@ def layer_slice(params: dict[str, np.ndarray], i: int) -> dict[str, np.ndarray]:
     return {k[len(pre):]: v for k, v in params.items() if k.startswith(pre)}
 
 
-def _layer_forward(h_prev, lp, cfg: EncoderConfig, mask=None):
-    attn_lp = {k[5:]: v for k, v in lp.items() if k.startswith("attn.")}
-    ffn_lp = {k[4:]: v for k, v in lp.items() if k.startswith("ffn.")}
-    attn_out, _, c_attn = _attn_forward(h_prev, attn_lp, cfg, mask)
+def _layer_forward(h_prev, p, pre, cfg: EncoderConfig, mask=None):
+    attn_out, _, c_attn = _attn_forward(h_prev, p, pre + "attn.", cfg, mask)
     if cfg.use_residual_norm:
-        a, c_ln1 = _ln_forward(h_prev + attn_out, lp["ln1.gain"], lp["ln1.bias"])
-        ffn_out, c_ffn = _ffn_forward(a, ffn_lp)
-        h_out, c_ln2 = _ln_forward(a + ffn_out, lp["ln2.gain"], lp["ln2.bias"])
+        attn_out += h_prev
+        a, c_ln1 = _ln_forward(attn_out, p[pre + "ln1.gain"], p[pre + "ln1.bias"])
+        ffn_out, c_ffn = _ffn_forward(a, p, pre + "ffn.")
+        ffn_out += a
+        h_out, c_ln2 = _ln_forward(ffn_out, p[pre + "ln2.gain"], p[pre + "ln2.bias"])
         return h_out, (c_attn, c_ln1, c_ffn, c_ln2)
-    ffn_out, c_ffn = _ffn_forward(attn_out, ffn_lp)
+    ffn_out, c_ffn = _ffn_forward(attn_out, p, pre + "ffn.")
     return ffn_out, (c_attn, None, c_ffn, None)
 
 
-def _layer_backward(dh_out, cache, lp, cfg: EncoderConfig):
+def _layer_backward(dh_out, cache, p, pre, cfg: EncoderConfig, grads):
     c_attn, c_ln1, c_ffn, c_ln2 = cache
-    attn_lp = {k[5:]: v for k, v in lp.items() if k.startswith("attn.")}
-    ffn_lp = {k[4:]: v for k, v in lp.items() if k.startswith("ffn.")}
-    grads: dict[str, np.ndarray] = {}
+    ffn_grads: dict[str, np.ndarray] = {}
     if cfg.use_residual_norm:
-        dr2, dg2, db2 = _ln_backward(dh_out, c_ln2)
-        grads["ln2.gain"], grads["ln2.bias"] = dg2, db2
-        da_ffn, ffn_grads = _ffn_backward(dr2, c_ffn, ffn_lp)
-        da = dr2 + da_ffn
-        dr1, dg1, db1 = _ln_backward(da, c_ln1)
-        grads["ln1.gain"], grads["ln1.bias"] = dg1, db1
-        dattn_out = dr1
-        dh_prev_res = dr1
+        dr2, grads[pre + "ln2.gain"], grads[pre + "ln2.bias"] = _ln_backward(dh_out, c_ln2)
+        da = dr2 + _ffn_backward(dr2, c_ffn, p, pre + "ffn.", ffn_grads)
+        dr1, grads[pre + "ln1.gain"], grads[pre + "ln1.bias"] = _ln_backward(da, c_ln1)
+        dattn_out = dh_prev_res = dr1
     else:
-        dattn_out, ffn_grads = _ffn_backward(dh_out, c_ffn, ffn_lp)
+        dattn_out = _ffn_backward(dh_out, c_ffn, p, pre + "ffn.", ffn_grads)
         dh_prev_res = 0.0
-    for k, v in ffn_grads.items():
-        grads[f"ffn.{k}"] = v
-    dh_prev_attn, attn_grads = _attn_backward(dattn_out, c_attn, attn_lp, cfg)
-    for k, v in attn_grads.items():
-        grads[f"attn.{k}"] = v
-    return dh_prev_attn + dh_prev_res, grads
+    grads.update(ffn_grads)  # gradient keys keep their order: ln2, ln1, ffn, attn
+    return _attn_backward(dattn_out, c_attn, p, pre + "attn.", cfg, grads) + dh_prev_res
 
 
 # ---------------------------------------------------------------- public ops
@@ -284,20 +292,22 @@ def scaled_attention(h_prev: np.ndarray, layer_params: dict[str, np.ndarray],
     """Attention sublayer on a single (tau, d_model) input.
 
     Per head: Q = H W_q, K = H W_k, V = H W_v; softmax(Q K^T / sqrt(d_k)) V;
-    heads concatenated then output-projected.  With return_weights=True also
-    returns the per-head attention matrix (heads, tau, tau).
+    heads concatenated then output-projected.  ``layer_params`` holds either
+    a layer's tensors (``attn.w_q``, ...) or bare ones (``w_q``, ...).  With
+    return_weights=True also returns the per-head attention matrix
+    (heads, tau, tau).
     """
     if not np.all(np.isfinite(h_prev)):
         raise ValidationError("attention input must be finite")
-    attn_lp = {k[5:]: v for k, v in layer_params.items() if k.startswith("attn.")}
-    out, weights, _ = _attn_forward(h_prev[None], attn_lp or layer_params, cfg)
+    pre = "attn." if "attn.w_q" in layer_params else ""
+    out, weights, _ = _attn_forward(h_prev[None], layer_params, pre, cfg)
     return (out[0], weights[0]) if return_weights else out[0]
 
 
 def encoder_layer(h_prev: np.ndarray, layer_params: dict[str, np.ndarray],
                   cfg: EncoderConfig) -> np.ndarray:
     """One full encoder layer on a single (tau, d_model) input."""
-    out, _ = _layer_forward(h_prev[None], layer_params, cfg)
+    out, _ = _layer_forward(h_prev[None], layer_params, "", cfg)
     return out[0]
 
 
@@ -318,7 +328,7 @@ def forward_batch(ids: np.ndarray, params: dict[str, np.ndarray], cfg: EncoderCo
     h = _embed(ids, params, cfg)
     layer_caches = []
     for i in range(cfg.layers):
-        h, cache = _layer_forward(h, layer_slice(params, i), cfg, mask)
+        h, cache = _layer_forward(h, params, f"layer{i}.", cfg, mask)
         layer_caches.append(cache)
     return h, (ids, layer_caches)
 
@@ -329,9 +339,7 @@ def backward_batch(dh: np.ndarray, cache, params: dict[str, np.ndarray],
     ids, layer_caches = cache
     grads: dict[str, np.ndarray] = {}
     for i in reversed(range(cfg.layers)):
-        dh, layer_grads = _layer_backward(dh, layer_caches[i], layer_slice(params, i), cfg)
-        for k, v in layer_grads.items():
-            grads[f"layer{i}.{k}"] = v
+        dh = _layer_backward(dh, layer_caches[i], params, f"layer{i}.", cfg, grads)
     d_tok = np.zeros_like(params["tok_emb"])
     np.add.at(d_tok, ids.reshape(-1), dh.reshape(-1, dh.shape[-1]))
     d_pos = np.zeros_like(params["pos_emb"])

@@ -1,20 +1,31 @@
 """Encoder oracles: sublayers against explicit-loop references, probability
-invariants, determinism, and padding invariance."""
+invariants, determinism, padding invariance, bit-identity with the
+out-of-place formulas, peak memory and dtype."""
+
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from essayqa import encoder
 from essayqa.encoder import (
     EncoderConfig,
+    _merge_heads,
+    _split_heads,
     encode,
     encode_batch,
     encoder_layer,
+    forward_batch,
     init_encoder_params,
     layer_slice,
+    pad_ids,
     scaled_attention,
     softmax_last,
 )
 from essayqa.errors import ValidationError
+from essayqa.heads import init_head_params
+from essayqa.train import TrainingExample, loss_and_grads
 
 from reference import ref_encoder_layer_no_norm, ref_multi_head_attention
 
@@ -217,3 +228,199 @@ class TestSoftmax:
         s = softmax_last(x)
         assert np.all(np.isfinite(s))
         assert abs(s.sum() - 1.0) < 1e-9
+
+    def test_out_none_keeps_input_and_out_x_is_in_place(self):
+        x = RNG.normal(size=(2, 3, 7)) * 40
+        before = x.copy()
+        s = softmax_last(x)
+        assert np.array_equal(x, before)
+        assert np.array_equal(s, ref_softmax(x))
+        assert softmax_last(x, out=x) is x
+        assert np.array_equal(x, s)
+
+
+# ------------------------------------------------ out-of-place formulas
+#
+# The sublayers as they were written before scores, d scores, LayerNorm and
+# the FFN were computed in place.  Installed over the encoder's own sublayer
+# functions, they give the reference the in-place code must equal bit for bit.
+
+
+def ref_softmax(x):
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def ref_attn_forward(h_in, p, pre, cfg, mask=None):
+    q = _split_heads(h_in @ p[pre + "w_q"], cfg.heads)
+    k = _split_heads(h_in @ p[pre + "w_k"], cfg.heads)
+    v = _split_heads(h_in @ p[pre + "w_v"], cfg.heads)
+    scores = q @ k.transpose(0, 1, 3, 2) / math.sqrt(cfg.d_k)
+    if mask is not None:
+        scores = np.where(mask[:, None, None, :], scores, -1e30)
+    weights = ref_softmax(scores)
+    ctx = _merge_heads(weights @ v)
+    out = ctx @ p[pre + "w_o"] + p[pre + "b_o"]
+    return out, weights, (h_in, q, k, v, weights, ctx)
+
+
+def ref_attn_backward(dout, cache, p, pre, cfg, grads):
+    h_in, q, k, v, weights, ctx = cache
+    flat = lambda x: x.reshape(-1, x.shape[-1])
+    grads_o = (flat(ctx).T @ flat(dout), dout.sum(axis=(0, 1)))
+    do_h = _split_heads(dout @ p[pre + "w_o"].T, cfg.heads)
+    dweights = do_h @ v.transpose(0, 1, 3, 2)
+    dv = weights.transpose(0, 1, 3, 2) @ do_h
+    rowdot = (dweights * weights).sum(axis=-1, keepdims=True)
+    dscores = (dweights - rowdot) * weights / math.sqrt(cfg.d_k)
+    dq = _merge_heads(dscores @ k)
+    dk = _merge_heads(dscores.transpose(0, 1, 3, 2) @ q)
+    dv = _merge_heads(dv)
+    grads[pre + "w_q"] = flat(h_in).T @ flat(dq)
+    grads[pre + "w_k"] = flat(h_in).T @ flat(dk)
+    grads[pre + "w_v"] = flat(h_in).T @ flat(dv)
+    grads[pre + "w_o"], grads[pre + "b_o"] = grads_o
+    return dq @ p[pre + "w_q"].T + dk @ p[pre + "w_k"].T + dv @ p[pre + "w_v"].T
+
+
+def ref_ln_forward(x, gain, bias):
+    mu = x.mean(axis=-1, keepdims=True)
+    var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + encoder.LN_EPS)
+    xhat = (x - mu) * inv
+    return xhat * gain + bias, (xhat, inv, gain)
+
+
+def ref_ffn_forward(a, p, pre):
+    u = a @ p[pre + "w1"] + p[pre + "b1"]
+    r = np.maximum(0.0, u)
+    return r @ p[pre + "w2"] + p[pre + "b2"], (a, u, r)
+
+
+def ref_ffn_backward(dout, cache, p, pre, grads):
+    a, u, r = cache
+    flat = lambda x: x.reshape(-1, x.shape[-1])
+    du = (dout @ p[pre + "w2"].T) * (u > 0)
+    grads[pre + "w1"] = flat(a).T @ flat(du)
+    grads[pre + "b1"] = du.sum(axis=(0, 1))
+    grads[pre + "w2"] = flat(r).T @ flat(dout)
+    grads[pre + "b2"] = dout.sum(axis=(0, 1))
+    return du @ p[pre + "w1"].T
+
+
+def out_of_place(monkeypatch, fn, *args):
+    """fn(*args) with the encoder's sublayers replaced by the formulas above."""
+    with monkeypatch.context() as m:
+        m.setattr(encoder, "_attn_forward", ref_attn_forward)
+        m.setattr(encoder, "_attn_backward", ref_attn_backward)
+        m.setattr(encoder, "_ln_forward", ref_ln_forward)
+        m.setattr(encoder, "_ffn_forward", ref_ffn_forward)
+        m.setattr(encoder, "_ffn_backward", ref_ffn_backward)
+        return fn(*args)
+
+
+def bit_config(**overrides):
+    """d_k = 3: dividing by sqrt(d_k) is not the same as multiplying by its
+    inverse, as it would be for d_k = 4."""
+    return small_config(d_model=12, **overrides)
+
+
+def full_params(cfg, scale):
+    """Encoder and head tensors redrawn at ``scale`` so scores get large."""
+    rng = np.random.default_rng(cfg.seed)
+    params = init_encoder_params(cfg, rng)
+    params.update(init_head_params(cfg, rng))
+    return {k: (v + scale * rng.normal(size=v.shape)).astype(cfg.np_dtype)
+            for k, v in params.items()}
+
+
+def masked_batch():
+    """Padded rows of lengths 1..9; the length-1 row has a single valid key."""
+    lengths = (9, 1, 4, 7, 2)
+    rng = np.random.default_rng(99)
+    return [TrainingExample(ids=tuple(int(i) for i in rng.integers(4, 31, size=n)),
+                            m=0, gold_start=1 + n // 2, gold_end=n,
+                            answerable=bool(j % 2), example_id=str(j))
+            for j, n in enumerate(lengths)]
+
+
+class TestBitIdenticalToOutOfPlace:
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("scale", [1.0, 100.0])
+    def test_scaled_attention(self, monkeypatch, dtype, scale):
+        cfg = bit_config(dtype=dtype)
+        params = full_params(cfg, 0.5)
+        for lp in (layer_slice(params, 0), {k[5:]: v for k, v in layer_slice(params, 1).items()
+                                            if k.startswith("attn.")}):
+            for tau in (1, 2, 9, 32):
+                h = (RNG.normal(size=(tau, cfg.d_model)) * scale).astype(cfg.np_dtype)
+                ours = scaled_attention(h, lp, cfg, return_weights=True)
+                ref = out_of_place(monkeypatch, scaled_attention, h, lp, cfg, True)
+                assert np.array_equal(ours[0], ref[0])
+                assert np.array_equal(ours[1], ref[1])
+
+    @pytest.mark.parametrize("use_residual_norm", [True, False])
+    @pytest.mark.parametrize("scale", [1.0, 100.0])
+    def test_encoder_layer(self, monkeypatch, use_residual_norm, scale):
+        cfg = bit_config(use_residual_norm=use_residual_norm)
+        lp = layer_slice(full_params(cfg, 0.5), 1)
+        for tau in (1, 6, 32):
+            h = RNG.normal(size=(tau, cfg.d_model)) * scale
+            ours = encoder_layer(h, lp, cfg)
+            assert np.array_equal(ours, out_of_place(monkeypatch, encoder_layer, h, lp, cfg))
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("use_residual_norm", [True, False])
+    @pytest.mark.parametrize("scale", [0.3, 3.0])
+    def test_masked_forward_and_loss_and_grads(self, monkeypatch, dtype,
+                                               use_residual_norm, scale):
+        cfg = bit_config(dtype=dtype, use_residual_norm=use_residual_norm)
+        params = full_params(cfg, scale)
+        batch = masked_batch()
+        ids, mask = pad_ids([np.asarray(ex.ids) for ex in batch], pad_id=3)
+        h, _ = forward_batch(ids, params, cfg, mask)
+        h_ref, _ = out_of_place(monkeypatch, forward_batch, ids, params, cfg, mask)
+        assert np.array_equal(h, h_ref)
+        with np.errstate(divide="ignore", over="ignore"):
+            loss, grads = loss_and_grads(params, cfg, batch, 3)
+            ref_loss, ref_grads = out_of_place(monkeypatch, loss_and_grads,
+                                               params, cfg, batch, 3)
+        assert loss == ref_loss or (np.isnan(loss) and np.isnan(ref_loss))
+        assert list(grads) == list(ref_grads)
+        for name in grads:
+            assert np.array_equal(grads[name], ref_grads[name], equal_nan=True), name
+
+
+class TestMemory:
+    def test_encode_peak_is_one_score_buffer_per_layer_plus_slack(self):
+        """Each layer keeps its (heads, T, T) weights in the forward cache;
+        the scale, mask and softmax must add no second buffer of that size."""
+        cfg = EncoderConfig(vocab_size=100)
+        params = init_encoder_params(cfg, np.random.default_rng(0))
+        ids = np.random.default_rng(1).integers(0, cfg.vocab_size, size=cfg.max_len)
+        tracemalloc.start()
+        try:
+            encode(ids, params, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        score_buffer = cfg.heads * cfg.max_len ** 2 * cfg.np_dtype.itemsize
+        assert peak <= (cfg.layers + 1.5) * score_buffer, peak / score_buffer
+
+
+class TestFloat32:
+    def test_masked_forward_and_gradients_stay_float32_and_finite(self):
+        cfg = small_config(dtype="float32")
+        params = full_params(cfg, 0.3)
+        batch = masked_batch()
+        ids, mask = pad_ids([np.asarray(ex.ids) for ex in batch], pad_id=3)
+        h, (_, layer_caches) = forward_batch(ids, params, cfg, mask)
+        activations = [h] + [a for layer in layer_caches for part in layer
+                             if part is not None for a in part]
+        for a in activations:
+            assert a.dtype == np.float32 and np.all(np.isfinite(a))
+        loss, grads = loss_and_grads(params, cfg, batch, 3)
+        assert np.isfinite(loss)
+        assert set(grads) == set(params)
+        for name, g in grads.items():
+            assert g.dtype == np.float32 and np.all(np.isfinite(g)), name
