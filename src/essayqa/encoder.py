@@ -18,13 +18,40 @@ the bare attention-then-FFN form:
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from .errors import ValidationError
 from .seqbuild import InputSequence
+
+_M_TOP_PAD = -2  # glibc <malloc.h>
+_TOP_PAD_BYTES = 64 * 2 ** 20
+
+
+def _retain_freed_heap() -> None:
+    """Keep up to 64 MiB of freed heap for reuse (glibc mallopt M_TOP_PAD).
+
+    By default glibc returns freed heap to the OS, so each call's multi-MiB
+    score, FFN and gradient arrays land on fresh pages and page-fault again.
+    A MALLOC_TOP_PAD_ the host set is left in force.  Without glibc's mallopt
+    (macOS, Windows) this does nothing, and musl's mallopt ignores the call.
+    """
+    if "MALLOC_TOP_PAD_" in os.environ:
+        return
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # no mallopt; Windows: no CDLL(None)
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_TOP_PAD, _TOP_PAD_BYTES)
+
+
+_retain_freed_heap()
 
 LN_EPS = 1e-5
 _MASKED = -1e30

@@ -24,12 +24,6 @@ class ModelBundle:
     rv_beta2: float = 0.5
     zeta: float = 0.0
 
-    def with_params(self, params: dict[str, np.ndarray]) -> "ModelBundle":
-        return ModelBundle(
-            config=self.config, params=params, vocab=self.vocab, rules=self.rules,
-            rv_beta1=self.rv_beta1, rv_beta2=self.rv_beta2, zeta=self.zeta,
-        )
-
     def copy_params(self) -> dict[str, np.ndarray]:
         return {k: v.copy() for k, v in self.params.items()}
 

@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import OversizedQuestionError, ValidationError, VocabularyError
-from .qnorm import NormalizedQuestion, split_words
+from .qnorm import _WORD_RE, NormalizedQuestion, split_words
 
 CLS = "[CLS]"
 SEP = "[SEP]"
@@ -112,7 +112,10 @@ class Token:
 
 
 def _lower_preserving_length(text: str) -> str:
-    # str.lower() can change length for a few Unicode characters; keep offsets valid.
+    # str.lower() can change length for a few Unicode characters; keep offsets
+    # valid.  ASCII is safe to lower whole: Final-Sigma needs non-ASCII.
+    if text.isascii():
+        return text.lower()
     return "".join(c.lower() if len(c.lower()) == 1 else c for c in text)
 
 
@@ -245,14 +248,13 @@ def build_vocab(texts: list[str], size: int = 8000) -> Vocabulary:
     """
     if size < 4:
         raise VocabularyError("vocabulary size must be at least 4")
-    word_counts: Counter[str] = Counter()
-    chars: set[str] = set()
+    raw_counts: Counter[str] = Counter()
     for text in texts:
-        for word, _, _ in split_words(text):
-            lowered = _lower_preserving_length(word)
-            word_counts[lowered] += 1
-            chars.update(lowered)
-    terms = list(RESERVED) + sorted(chars)
+        raw_counts.update(_WORD_RE.findall(text))
+    word_counts: Counter[str] = Counter()
+    for word, count in raw_counts.items():
+        word_counts[_lower_preserving_length(word)] += count
+    terms = list(RESERVED) + sorted(set("".join(word_counts)))
     seen = set(terms)
     ranked = sorted(word_counts.items(), key=lambda kv: (-kv[1], kv[0]))
     for word, _ in ranked:

@@ -369,7 +369,7 @@ def multi_stage_train(model: ModelBundle, stages: list[Stage], base_cfg: TrainCo
         )
         result = train_stage(model.params, corpus, model.vocab, model.rules,
                              model.config, cfg)
-        model = model.with_params(result.params)
+        model = replace(model, params=result.params)
         if dev:
             model.zeta = select_zeta(model, dev, paper_literal_threshold)
         path = None

@@ -3,6 +3,10 @@ invariants, determinism, padding invariance, bit-identity with the
 out-of-place formulas, peak memory and dtype."""
 
 import math
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -406,6 +410,59 @@ class TestMemory:
             tracemalloc.stop()
         score_buffer = cfg.heads * cfg.max_len ** 2 * cfg.np_dtype.itemsize
         assert peak <= (cfg.layers + 1.5) * score_buffer, peak / score_buffer
+
+    # Steady-state minor page faults per call, measured in a fresh interpreter
+    # so that pytest's own heap does not count.
+    FAULTS_SCRIPT = """
+import resource
+import numpy as np
+from essayqa.encoder import EncoderConfig, encode, init_encoder_params
+from essayqa.heads import init_head_params
+from essayqa.train import TrainingExample, loss_and_grads
+
+def faults_per_call(fn, warmup=3, calls=5):
+    for _ in range(warmup):
+        fn()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(calls):
+        fn()
+    return (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / calls
+
+cfg = EncoderConfig(vocab_size=100)
+rng = np.random.default_rng(0)
+params = init_encoder_params(cfg, rng)
+params.update(init_head_params(cfg, rng))
+ids = rng.integers(4, cfg.vocab_size, size=cfg.max_len)
+batch = []
+for j in range(16):
+    n = int(rng.integers(40, 101))
+    batch.append(TrainingExample(ids=tuple(int(i) for i in rng.integers(4, 100, size=n)),
+                                 m=0, gold_start=1 + n // 2, gold_end=n, answerable=bool(j % 2)))
+print(faults_per_call(lambda: encode(ids, params, cfg)),
+      faults_per_call(lambda: loss_and_grads(params, cfg, batch, 3)))
+"""
+
+    @staticmethod
+    def faults(**env):
+        src = os.path.dirname(os.path.dirname(encoder.__file__))
+        env = {**os.environ, "PYTHONPATH": src, **env}
+        out = subprocess.run([sys.executable, "-c", TestMemory.FAULTS_SCRIPT], env=env,
+                             capture_output=True, text=True, check=True, timeout=300)
+        encode_faults, train_faults = map(float, out.stdout.split())
+        return encode_faults, train_faults
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux")
+                        or platform.libc_ver()[0] != "glibc",
+                        reason="heap retention is set through glibc mallopt")
+    def test_freed_heap_is_reused_without_page_faults(self, monkeypatch):
+        """A 512-token encode and a B=16 training step page-fault again on
+        every call when freed heap goes back to the OS."""
+        monkeypatch.delenv("MALLOC_TOP_PAD_", raising=False)
+        encode_faults, train_faults = self.faults()
+        assert encode_faults < 64 and train_faults < 64, (encode_faults, train_faults)
+        # A host's own MALLOC_TOP_PAD_ stays in force.
+        encode_faults, _ = self.faults(MALLOC_TOP_PAD_="131072")
+        assert encode_faults >= 64, encode_faults
 
 
 class TestFloat32:

@@ -3,6 +3,7 @@ tau = m + n + 2 arithmetic, and truncation boundaries."""
 
 import sys
 import threading
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from essayqa import seqbuild
 from essayqa.errors import OversizedQuestionError, ValidationError, VocabularyError
+from essayqa.qnorm import split_words
 from essayqa.seqbuild import (
     CLS,
     PAD,
@@ -163,6 +165,15 @@ def essays(draw):
     return " ".join(words)
 
 
+@st.composite
+def vocab_texts(draw):
+    """Few distinct words, so counts tie; mixed case merges on lowering;
+    "İ" lowers to two characters and "ΟΔΟΣ" ends in a final sigma."""
+    words = draw(st.lists(st.sampled_from(("ΟΔΟΣ", "İ", "Σ", "ß")) | st.text(
+        alphabet="abAB0179.İΣß", min_size=1, max_size=4), max_size=20))
+    return " ".join(words)
+
+
 class TestProperties:
     @given(essays())
     @settings(max_examples=150, deadline=None)
@@ -185,6 +196,39 @@ class TestProperties:
             return
         assert seq.tau <= max_len
         assert seq.tau == seq.m + seq.n + 2
+
+    @given(st.lists(vocab_texts(), max_size=8), st.integers(min_value=4, max_value=30))
+    @example(["ΟΔΟΣ Σ ab AB ab ß", "İ 7 7 ba"], 12)
+    @example(["ab AB ba ba", "aB"], 7)  # one word slot: ab (3) beats ba (2)
+    @settings(max_examples=200, deadline=None)
+    def test_build_vocab_matches_per_word_loop(self, texts, size):
+        assert build_vocab(texts, size=size).terms == loop_build_vocab_terms(texts, size)
+        for text in texts:
+            assert seqbuild._lower_preserving_length(text) == loop_lower(text)
+
+
+def loop_lower(text):
+    return "".join(c.lower() if len(c.lower()) == 1 else c for c in text)
+
+
+def loop_build_vocab_terms(texts, size):
+    """build_vocab as one lowercase-and-count step per word occurrence."""
+    word_counts = Counter()
+    chars = set()
+    for text in texts:
+        for word, _, _ in split_words(text):
+            lowered = loop_lower(word)
+            word_counts[lowered] += 1
+            chars.update(lowered)
+    terms = list(RESERVED) + sorted(chars)
+    seen = set(terms)
+    for word, _ in sorted(word_counts.items(), key=lambda kv: (-kv[1], kv[0])):
+        if len(terms) >= size:
+            break
+        if word not in seen:
+            terms.append(word)
+            seen.add(word)
+    return terms
 
 
 # Characters whose lowercase differs in length ("İ" -> "i̇"), a final sigma,

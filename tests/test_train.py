@@ -175,7 +175,7 @@ class TestSelectZeta:
                           max_steps=400)
         result = train_stage(model.params, corpus, model.vocab, RULES,
                              model.config, cfg)
-        model = model.with_params(result.params)
+        model = replace(model, params=result.params)
         zeta = select_zeta(model, corpus)
         model.zeta = zeta
         from essayqa.evalharness import evaluate_model
