@@ -149,22 +149,19 @@ def _cmd_eval(args) -> int:
     gold = corpus_mod.load_any(args.gold)
     with open(args.pred, encoding="utf-8") as fh:
         records = read_verdict_records(fh)
-    preds: dict[str, tuple[bool, str | None]] = {}
+    predictions: dict[str, str | None] = {}
     for rec in records:
-        preds[str(rec["question_id"])] = (bool(rec["answered"]), rec.get("text"))
-    if set(preds) != {ex.example_id for ex in gold}:
-        raise EssayQAError("prediction ids do not match gold example ids")
+        qid = str(rec.get("question_id"))
+        answered, text = rec.get("answered"), rec.get("text")
+        if not isinstance(answered, bool) or answered != (text is not None):
+            raise EssayQAError(f"record {qid}: 'answered' must be true exactly when "
+                               f"'text' is given (answered={answered!r}, text={text!r})")
+        predictions[qid] = text
     vocab = Vocabulary.load(args.vocab) if args.vocab else None
-    acc = evalharness.accuracy({k: v[0] for k, v in preds.items()}, gold)
-    f1s = []
-    for ex in gold:
-        answered, text = preds[ex.example_id]
-        _, _, f1 = evalharness.overlap_f1(text if answered else None, ex,
-                                          unit=args.overlap_unit, vocab=vocab)
-        f1s.append(f1)
-    mean_f1 = sum(f1s) / len(f1s)
-    print(f"accuracy: {acc:.4f}")
-    print(f"mean overlap F1: {mean_f1:.4f}")
+    result = evalharness.evaluate_predictions(predictions, gold,
+                                              unit=args.overlap_unit, vocab=vocab)
+    print(f"accuracy: {result.accuracy:.4f}")
+    print(f"mean overlap F1: {result.mean_overlap_f1:.4f}")
     return 0
 
 

@@ -319,15 +319,14 @@ def scaled_attention(h_prev: np.ndarray, layer_params: dict[str, np.ndarray],
     """Attention sublayer on a single (tau, d_model) input.
 
     Per head: Q = H W_q, K = H W_k, V = H W_v; softmax(Q K^T / sqrt(d_k)) V;
-    heads concatenated then output-projected.  ``layer_params`` holds either
-    a layer's tensors (``attn.w_q``, ...) or bare ones (``w_q``, ...).  With
-    return_weights=True also returns the per-head attention matrix
+    heads concatenated then output-projected.  ``layer_params`` holds a
+    layer's tensors (``attn.w_q``, ..., as ``layer_slice`` returns them).
+    With return_weights=True also returns the per-head attention matrix
     (heads, tau, tau).
     """
     if not np.all(np.isfinite(h_prev)):
         raise ValidationError("attention input must be finite")
-    pre = "attn." if "attn.w_q" in layer_params else ""
-    out, weights, _ = _attn_forward(h_prev[None], layer_params, pre, cfg)
+    out, weights, _ = _attn_forward(h_prev[None], layer_params, "attn.", cfg)
     return (out[0], weights[0]) if return_weights else out[0]
 
 
@@ -382,18 +381,6 @@ def encode(seq: InputSequence | list[int] | np.ndarray,
     ids = np.asarray(seq.ids if isinstance(seq, InputSequence) else seq, dtype=np.int64)
     h, _ = forward_batch(ids[None], params, cfg)
     return h[0]
-
-
-def encode_batch(seqs: list[InputSequence | list[int]],
-                 params: dict[str, np.ndarray], cfg: EncoderConfig,
-                 pad_id: int = 0) -> list[np.ndarray]:
-    """Encode several sequences jointly, padding to the longest; each result
-    is sliced back to its own tau and matches its unbatched encoding."""
-    ids_list = [np.asarray(s.ids if isinstance(s, InputSequence) else s, dtype=np.int64)
-                for s in seqs]
-    ids, mask = pad_ids(ids_list, pad_id)
-    h, _ = forward_batch(ids, params, cfg, mask)
-    return [h[i, : len(ids_list[i])] for i in range(len(ids_list))]
 
 
 def pad_ids(ids_list: list[np.ndarray], pad_id: int) -> tuple[np.ndarray, np.ndarray]:

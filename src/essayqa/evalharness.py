@@ -17,16 +17,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .checkpoint import save_model
 from .corpus import QAExample, load_any
 from .errors import OversizedQuestionError, PlanError, ValidationError
+from .heads import ScoreBundle
 from .locator import Verdict
 from .model import ModelBundle, new_model
 from .pipeline import infer_verdict
 from .qnorm import split_words
 from .seqbuild import Vocabulary, build_vocab, tokenize
 from .synthetic import SyntheticConfig, generate_synthetic
-from .train import Stage, TrainConfig, multi_stage_train
+from .train import Stage, TrainConfig, run_stage
 
 
 @dataclass
@@ -96,19 +96,18 @@ def overlap_f1(pred_text: str | None, gold: QAExample, unit: str = "word",
     return best
 
 
-def evaluate_verdicts(verdicts: dict[str, Verdict], gold: list[QAExample],
-                      unit: str = "word", vocab: Vocabulary | None = None) -> EvalResult:
-    """Corpus-level metrics from per-example verdicts keyed by example id."""
+def evaluate_predictions(predictions: dict[str, str | None], gold: list[QAExample],
+                         unit: str = "word", vocab: Vocabulary | None = None) -> EvalResult:
+    """Corpus-level metrics from each example's predicted span text, keyed by
+    example id; None means the prediction abstained (not answered)."""
     per: list[PerExample] = []
-    predictions = {eid: v.answered for eid, v in verdicts.items()}
-    acc = accuracy(predictions, gold)
+    acc = accuracy({eid: text is not None for eid, text in predictions.items()}, gold)
     for ex in gold:
-        verdict = verdicts[ex.example_id]
-        pred_text = verdict.span.text if verdict.span is not None else None
+        pred_text = predictions[ex.example_id]
         p, r, f1 = overlap_f1(pred_text, ex, unit, vocab)
         per.append(PerExample(
             example_id=ex.example_id,
-            answered_pred=verdict.answered,
+            answered_pred=pred_text is not None,
             answered_gold=ex.answerable,
             precision=p,
             recall=r,
@@ -118,13 +117,20 @@ def evaluate_verdicts(verdicts: dict[str, Verdict], gold: list[QAExample],
     return EvalResult(accuracy=acc, mean_overlap_f1=mean_f1, per_example=per)
 
 
+def evaluate_verdicts(verdicts: dict[str, Verdict], gold: list[QAExample],
+                      unit: str = "word", vocab: Vocabulary | None = None) -> EvalResult:
+    """Corpus-level metrics from per-example verdicts keyed by example id (a
+    verdict carries a span exactly when it is answered)."""
+    predictions = {eid: v.span.text if v.span is not None else None
+                   for eid, v in verdicts.items()}
+    return evaluate_predictions(predictions, gold, unit, vocab)
+
+
 def predict_corpus(model: ModelBundle, examples: list[QAExample],
                    paper_literal_threshold: bool = False,
                    paper_literal_region: bool = False) -> dict[str, Verdict]:
     """Verdict per example id; an oversized question yields a not-answered
     verdict with zeroed scores rather than aborting the run."""
-    from .heads import ScoreBundle
-
     out: dict[str, Verdict] = {}
     for ex in examples:
         try:
@@ -284,25 +290,19 @@ def run_experiment(plan: ExperimentPlan, base_dir: str = ".",
         for s, corpus, dev in zip(plan.stages, stage_corpora, stage_devs)
     ]
 
-    # Drive stages one at a time (equivalent to one multi-stage run: each
-    # stage carries its explicit seed) so every stage's model can be
-    # measured on the evaluation corpus.
+    # Drive the stages one at a time, as multi_stage_train does, so every
+    # stage's model can be measured on the evaluation corpus.
     reports: list[StageReport] = []
     for k, stage in enumerate(stages):
-        if stage.seed is None:
-            stage.seed = plan.seed + k
         # a failing stage aborts here; earlier stages' checkpoints stay on disk
-        model, infos = multi_stage_train(model, [stage], base_cfg)
-        if out_dir is not None:
-            os.makedirs(out_dir, exist_ok=True)
-            save_model(model, os.path.join(out_dir, f"stage{k + 1}-{stage.name}.ckpt"))
+        model, info = run_stage(model, stage, k, base_cfg, out_dir)
         result = evaluate_model(model, eval_corpus, unit=plan.overlap_unit)
         reports.append(StageReport(
             name=stage.name,
             accuracy=result.accuracy,
             mean_overlap_f1=result.mean_overlap_f1,
             zeta=model.zeta,
-            loss_curve=infos[0].loss_curve,
+            loss_curve=info.loss_curve,
         ))
 
     final = reports[-1]

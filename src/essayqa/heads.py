@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoder import EncoderConfig, init_params, softmax_last
+from .encoder import _MASKED, EncoderConfig, init_params
 from .errors import ValidationError
 
 
@@ -73,10 +73,32 @@ def span_logits(h_last: np.ndarray, params: dict[str, np.ndarray]):
     return start, end
 
 
+def log_softmax_positions(logits: np.ndarray, mask: np.ndarray | None = None):
+    """(log p, p) of the softmax over positions (the last axis).
+
+    mask: optional boolean of the logits' shape, True at real positions;
+    padded positions get p = 0 and are left out of every row's max and sum.
+    Without a mask p is bit-identical to ``softmax_last(logits)``; log p is
+    ``(x - max) - log(sum)`` and is meaningful at real positions only.
+    """
+    x = logits if mask is None else np.where(mask, logits, _MASKED)
+    z = x - x.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    s = e.sum(axis=-1, keepdims=True)
+    return z - np.log(s), e / s
+
+
 def span_probabilities(h_last: np.ndarray, params: dict[str, np.ndarray]) -> SpanDistributions:
     """Softmax over positions of the per-position start and end logits."""
     start, end = span_logits(h_last, params)
-    return SpanDistributions(prob_start=softmax_last(start), prob_end=softmax_last(end))
+    return SpanDistributions(prob_start=log_softmax_positions(start)[1],
+                             prob_end=log_softmax_positions(end)[1])
+
+
+def verifier_logits(h_cls: np.ndarray, params: dict[str, np.ndarray]) -> np.ndarray:
+    """Front-verifier logits (logit_ans, logit_na) on the last axis; works on
+    (d,) or (B, d)."""
+    return h_cls @ params["verify.w"] + params["verify.b"]
 
 
 def external_front_verification(h_cls: np.ndarray, params: dict[str, np.ndarray]):
@@ -85,7 +107,7 @@ def external_front_verification(h_cls: np.ndarray, params: dict[str, np.ndarray]
     The logits are pre-softmax; softmax enters only the training loss, since
     score_ext subtracts logits, not probabilities.
     """
-    logits = h_cls @ params["verify.w"] + params["verify.b"]
+    logits = verifier_logits(h_cls, params)
     logit_ans, logit_na = float(logits[0]), float(logits[1])
     return logit_ans, logit_na, logit_na - logit_ans
 

@@ -24,9 +24,6 @@ class ModelBundle:
     rv_beta2: float = 0.5
     zeta: float = 0.0
 
-    def copy_params(self) -> dict[str, np.ndarray]:
-        return {k: v.copy() for k, v in self.params.items()}
-
 
 def param_shapes(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
     """Name -> shape of every tensor a model of this config holds, encoder

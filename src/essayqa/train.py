@@ -15,23 +15,22 @@ bit-identical parameters.
 from __future__ import annotations
 
 import logging
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .checkpoint import save_model
 from .corpus import QAExample
-from .encoder import EncoderConfig, backward_batch, forward_batch, pad_ids
+from .encoder import EncoderConfig, backward_batch, forward_batch, pad_ids, softmax_last
 from .errors import EssayQAError, OversizedQuestionError, ValidationError
-from .heads import SpanDistributions, span_logits
+from .heads import SpanDistributions, log_softmax_positions, span_logits, verifier_logits
 from .model import ModelBundle
 from .pipeline import infer_verdict
 from .qnorm import RewriteRuleSet, normalize
 from .seqbuild import MAX_INPUT_LEN, Vocabulary, assemble
 
 logger = logging.getLogger(__name__)
-
-_NEG = -1e30
 
 
 @dataclass(frozen=True)
@@ -131,15 +130,6 @@ def compute_loss(dist: SpanDistributions, efv_logits, gold: TrainingExample,
     return float(w_span * span_nll + w_verifier * ce)
 
 
-def _masked_log_softmax(logits: np.ndarray, mask: np.ndarray):
-    x = np.where(mask, logits, _NEG)
-    m = x.max(axis=-1, keepdims=True)
-    z = np.where(mask, x - m, _NEG)
-    e = np.exp(z) * mask
-    s = e.sum(axis=-1, keepdims=True)
-    return z - np.log(s), e / s
-
-
 def loss_and_grads(params: dict[str, np.ndarray], cfg: EncoderConfig,
                    batch: list[TrainingExample], pad_id: int,
                    w_span: float = 1.0, w_verifier: float = 1.0):
@@ -151,18 +141,15 @@ def loss_and_grads(params: dict[str, np.ndarray], cfg: EncoderConfig,
     h, cache = forward_batch(ids, params, cfg, mask)
 
     start_logits, end_logits = span_logits(h, params)
-    log_ps, prob_s = _masked_log_softmax(start_logits, mask)
-    log_pe, prob_e = _masked_log_softmax(end_logits, mask)
+    log_ps, prob_s = log_softmax_positions(start_logits, mask)
+    log_pe, prob_e = log_softmax_positions(end_logits, mask)
     rows = np.arange(b)
     gs = np.array([ex.gold_start - 1 for ex in batch])
     ge = np.array([ex.gold_end - 1 for ex in batch])
     span_nll = -(log_ps[rows, gs] + log_pe[rows, ge]) / 2.0
 
     h_cls = h[:, 0, :]
-    v_logits = h_cls @ params["verify.w"] + params["verify.b"]
-    v_max = v_logits.max(axis=-1, keepdims=True)
-    v_exp = np.exp(v_logits - v_max)
-    v_prob = v_exp / v_exp.sum(axis=-1, keepdims=True)
+    v_prob = softmax_last(verifier_logits(h_cls, params))
     targets = np.array([0 if ex.answerable else 1 for ex in batch])
     ce = -np.log(v_prob[rows, targets])
 
@@ -336,56 +323,64 @@ class StageRunInfo:
     checkpoint_path: str | None = None
 
 
+def run_stage(model: ModelBundle, stage: Stage, k: int, base_cfg: TrainConfig,
+              out_dir: str | None = None, paper_literal_threshold: bool = False,
+              ) -> tuple[ModelBundle, StageRunInfo]:
+    """Train stage k (0-based) of a staged run and return the new model.
+
+    The stage trains with seed base_cfg.seed + k unless it carries its own.
+    Afterwards the verification threshold zeta is re-selected on the stage's
+    dev split (explicit, or carved deterministically from the stage corpus
+    when dev_fraction > 0), and with out_dir the model is checkpointed as
+    ``stage{k+1}-{name}.ckpt`` there.
+    """
+    corpus = stage.corpus
+    dev = stage.dev
+    stage_seed = stage.seed if stage.seed is not None else base_cfg.seed + k
+    if dev is None and stage.dev_fraction > 0:
+        split_rng = np.random.default_rng(stage_seed * 7919 + 1)
+        order = split_rng.permutation(len(corpus))
+        n_dev = max(1, int(len(corpus) * stage.dev_fraction))
+        dev = [corpus[int(i)] for i in order[:n_dev]]
+        corpus = [corpus[int(i)] for i in order[n_dev:]]
+    cfg = replace(
+        base_cfg,
+        seed=stage_seed,
+        epochs=stage.epochs if stage.epochs is not None else base_cfg.epochs,
+        learning_rate=(stage.learning_rate if stage.learning_rate is not None
+                       else base_cfg.learning_rate),
+    )
+    result = train_stage(model.params, corpus, model.vocab, model.rules,
+                         model.config, cfg)
+    model = replace(model, params=result.params)
+    if dev:
+        model.zeta = select_zeta(model, dev, paper_literal_threshold)
+    path = None
+    if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
+        path = os.path.join(out_dir, f"stage{k + 1}-{stage.name}.ckpt")
+        save_model(model, path)
+    return model, StageRunInfo(
+        name=stage.name,
+        loss_curve=result.loss_curve,
+        zeta=model.zeta,
+        skipped_count=result.skipped_count,
+        trained_count=result.trained_count,
+        dev_size=len(dev) if dev else 0,
+        checkpoint_path=path,
+    )
+
+
 def multi_stage_train(model: ModelBundle, stages: list[Stage], base_cfg: TrainConfig,
                       out_dir: str | None = None,
                       paper_literal_threshold: bool = False,
                       ) -> tuple[ModelBundle, list[StageRunInfo]]:
-    """Run stages sequentially, threading parameters through.
-
-    Stage k trains with seed base_cfg.seed + k.  After each stage the
-    verification threshold zeta is re-selected on that stage's dev split
-    (explicit, or carved deterministically from the stage corpus when
-    dev_fraction > 0), and a per-stage checkpoint is written under out_dir.
-    """
+    """Run stages sequentially through ``run_stage``, threading parameters
+    through; stage k seeds with base_cfg.seed + k."""
     if not stages:
         raise ValidationError("at least one stage is required")
     infos: list[StageRunInfo] = []
     for k, stage in enumerate(stages):
-        corpus = stage.corpus
-        dev = stage.dev
-        stage_seed = stage.seed if stage.seed is not None else base_cfg.seed + k
-        if dev is None and stage.dev_fraction > 0:
-            split_rng = np.random.default_rng(stage_seed * 7919 + 1)
-            order = split_rng.permutation(len(corpus))
-            n_dev = max(1, int(len(corpus) * stage.dev_fraction))
-            dev = [corpus[int(i)] for i in order[:n_dev]]
-            corpus = [corpus[int(i)] for i in order[n_dev:]]
-        cfg = replace(
-            base_cfg,
-            seed=stage_seed,
-            epochs=stage.epochs if stage.epochs is not None else base_cfg.epochs,
-            learning_rate=(stage.learning_rate if stage.learning_rate is not None
-                           else base_cfg.learning_rate),
-        )
-        result = train_stage(model.params, corpus, model.vocab, model.rules,
-                             model.config, cfg)
-        model = replace(model, params=result.params)
-        if dev:
-            model.zeta = select_zeta(model, dev, paper_literal_threshold)
-        path = None
-        if out_dir is not None:
-            import os
-
-            os.makedirs(out_dir, exist_ok=True)
-            path = os.path.join(out_dir, f"stage{k + 1}-{stage.name}.ckpt")
-            save_model(model, path)
-        infos.append(StageRunInfo(
-            name=stage.name,
-            loss_curve=result.loss_curve,
-            zeta=model.zeta,
-            skipped_count=result.skipped_count,
-            trained_count=result.trained_count,
-            dev_size=len(dev) if dev else 0,
-            checkpoint_path=path,
-        ))
+        model, info = run_stage(model, stage, k, base_cfg, out_dir, paper_literal_threshold)
+        infos.append(info)
     return model, infos

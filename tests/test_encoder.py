@@ -18,7 +18,6 @@ from essayqa.encoder import (
     _merge_heads,
     _split_heads,
     encode,
-    encode_batch,
     encoder_layer,
     forward_batch,
     init_encoder_params,
@@ -199,15 +198,18 @@ class TestEncode:
         assert np.all(np.isfinite(h))
 
     def test_batched_padding_invariance(self):
-        cfg = small_config()
+        """A padded, masked batch of 8 matches each sequence encoded alone
+        within the 1e-12 batched-vs-single gate (float64)."""
+        cfg = small_config(max_len=200)
         params = make_params(cfg)
-        seqs = [list(RNG.integers(0, cfg.vocab_size, size=int(n)))
-                for n in (3, 9, 14, 6)]
-        batched = encode_batch(seqs, params, cfg, pad_id=3)
-        for ids, hb in zip(seqs, batched):
-            hs = encode(ids, params, cfg)
-            assert hb.shape == hs.shape
-            assert np.max(np.abs(hb - hs)) < 1e-8
+        lengths = (1, 3, 9, 14, 57, 120, 199, 200)
+        seqs = [RNG.integers(0, cfg.vocab_size, size=n) for n in lengths]
+        ids, mask = pad_ids(seqs, pad_id=3)
+        h, _ = forward_batch(ids, params, cfg, mask)
+        for row, n in enumerate(lengths):
+            hs = encode(seqs[row], params, cfg)
+            assert hs.shape == (n, cfg.d_model)
+            assert np.max(np.abs(h[row, :n] - hs)) < 1e-12
 
     def test_residual_norm_on_both_layers_used(self):
         cfg = small_config()
@@ -354,14 +356,13 @@ class TestBitIdenticalToOutOfPlace:
     def test_scaled_attention(self, monkeypatch, dtype, scale):
         cfg = bit_config(dtype=dtype)
         params = full_params(cfg, 0.5)
-        for lp in (layer_slice(params, 0), {k[5:]: v for k, v in layer_slice(params, 1).items()
-                                            if k.startswith("attn.")}):
-            for tau in (1, 2, 9, 32):
-                h = (RNG.normal(size=(tau, cfg.d_model)) * scale).astype(cfg.np_dtype)
-                ours = scaled_attention(h, lp, cfg, return_weights=True)
-                ref = out_of_place(monkeypatch, scaled_attention, h, lp, cfg, True)
-                assert np.array_equal(ours[0], ref[0])
-                assert np.array_equal(ours[1], ref[1])
+        lp = layer_slice(params, 0)
+        for tau in (1, 2, 9, 32):
+            h = (RNG.normal(size=(tau, cfg.d_model)) * scale).astype(cfg.np_dtype)
+            ours = scaled_attention(h, lp, cfg, return_weights=True)
+            ref = out_of_place(monkeypatch, scaled_attention, h, lp, cfg, True)
+            assert np.array_equal(ours[0], ref[0])
+            assert np.array_equal(ours[1], ref[1])
 
     @pytest.mark.parametrize("use_residual_norm", [True, False])
     @pytest.mark.parametrize("scale", [1.0, 100.0])

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from essayqa.corpus import GoldAnswer, QAExample
+from essayqa.cli import cli_main
+from essayqa.corpus import GoldAnswer, QAExample, save_sed_format
 from essayqa.errors import ValidationError
 from essayqa.evalharness import (
     accuracy,
@@ -14,7 +15,7 @@ from essayqa.evalharness import (
     overlap_f1,
 )
 from essayqa.heads import ScoreBundle
-from essayqa.locator import ResponseSpan, Verdict
+from essayqa.locator import ResponseSpan, Verdict, verdict_to_record, write_verdict_records
 from reference import recount_accuracy, recount_overlap_f1
 
 RNG = np.random.default_rng(555)
@@ -27,6 +28,12 @@ def gold_example(eid, answerable=True, answers=("the tall tower",), context=None
         start = ctx.find(text)
         golds.append(GoldAnswer(text=text, char_start=start))
     return QAExample(eid, "q", ctx, answerable, tuple(golds))
+
+
+def make_verdict(answered, text=None):
+    scores = ScoreBundle(0.0, 0.0, 0.0, 0.0, -1.0 if answered else 1.0, answered)
+    span = ResponseSpan(0, len(text), text) if answered else None
+    return Verdict(answered=answered, scores=scores, span=span)
 
 
 class TestAccuracy:
@@ -143,11 +150,6 @@ class TestOverlapF1:
 
 
 class TestEvaluateVerdicts:
-    def _verdict(self, answered, text=None):
-        scores = ScoreBundle(0.0, 0.0, 0.0, 0.0, -1.0 if answered else 1.0, answered)
-        span = ResponseSpan(0, len(text), text) if answered else None
-        return Verdict(answered=answered, scores=scores, span=span)
-
     def test_mean_f1_is_plain_mean(self):
         gold = [
             gold_example("e0", answers=("aa bb",), context="aa bb cc"),
@@ -155,9 +157,9 @@ class TestEvaluateVerdicts:
             gold_example("e2", answers=("cc dd",), context="cc dd ee"),
         ]
         verdicts = {
-            "e0": self._verdict(True, "aa bb"),       # f1 = 1
-            "e1": self._verdict(False),               # f1 = 1 (both abstain)
-            "e2": self._verdict(False),               # f1 = 0 (missed)
+            "e0": make_verdict(True, "aa bb"),       # f1 = 1
+            "e1": make_verdict(False),               # f1 = 1 (both abstain)
+            "e2": make_verdict(False),               # f1 = 0 (missed)
         }
         result = evaluate_verdicts(verdicts, gold)
         per = {p.example_id: p.f1 for p in result.per_example}
@@ -167,14 +169,70 @@ class TestEvaluateVerdicts:
 
     def test_accuracy_recomputable_from_records(self):
         gold = [gold_example(f"e{i}", answerable=bool(i % 2)) for i in range(10)]
-        verdicts = {ex.example_id: self._verdict(bool(RNG.random() < 0.5), "x аб"[:1])
+        verdicts = {ex.example_id: make_verdict(bool(RNG.random() < 0.5), "x аб"[:1])
                     for ex in gold}
-        verdicts = {k: (v if not v.answered else self._verdict(True, "the"))
+        verdicts = {k: (v if not v.answered else make_verdict(True, "the"))
                     for k, v in verdicts.items()}
         result = evaluate_verdicts(verdicts, gold)
         recount = sum(1 for p in result.per_example
                       if p.answered_pred == p.answered_gold) / len(result.per_example)
         assert result.accuracy == pytest.approx(recount)
+
+
+class TestCliEval:
+    """``essayqa eval`` scores prediction records through the library's scorer."""
+
+    def _files(self, tmp_path, gold, records):
+        gold_file, pred_file = tmp_path / "gold.jsonl", tmp_path / "pred.jsonl"
+        save_sed_format(gold, str(gold_file))
+        with open(pred_file, "w", encoding="utf-8") as fh:
+            write_verdict_records(records, fh)
+        return ["eval", "--pred", str(pred_file), "--gold", str(gold_file)]
+
+    def test_prints_what_evaluate_verdicts_computes(self, tmp_path, capsys):
+        rng = np.random.default_rng(7)
+        words = ["aa", "bb", "cc", "dd", "ee", "ff"]
+        gold, verdicts = [], {}
+        for i in range(40):
+            context = " ".join(rng.choice(words, size=8))
+            answer = " ".join(context.split()[2:2 + int(rng.integers(1, 4))])
+            gold.append(gold_example(f"e{i}", answerable=bool(rng.random() < 0.6),
+                                     answers=(answer,), context=context))
+            lo = int(rng.integers(0, 5))
+            pred = " ".join(context.split()[lo:lo + int(rng.integers(1, 4))])
+            verdicts[f"e{i}"] = make_verdict(bool(rng.random() < 0.5), pred)
+        expected = evaluate_verdicts(verdicts, gold)
+        assert 0.0 < expected.mean_overlap_f1 < 1.0 and 0.0 < expected.accuracy < 1.0
+        records = [verdict_to_record(v, question_id=eid, essay_id="x")
+                   for eid, v in verdicts.items()]
+        assert cli_main(self._files(tmp_path, gold, records)) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"accuracy: {expected.accuracy:.4f}",
+            f"mean overlap F1: {expected.mean_overlap_f1:.4f}",
+        ]
+
+    @pytest.mark.parametrize("answered, text", [(True, None), (False, "aa bb"),
+                                                (None, None), (1, "aa bb")])
+    def test_answered_flag_disagreeing_with_text_exits_1(self, tmp_path, capsys,
+                                                          answered, text):
+        gold = [gold_example("e0", answers=("aa bb",), context="aa bb cc"),
+                gold_example("e1", answerable=False, context="dd ee")]
+        records = [{"question_id": "e0", "essay_id": "x", "answered": answered,
+                    "score_final": 0.0, "char_start": None, "char_end": None,
+                    "text": text},
+                   {"question_id": "e1", "essay_id": "x", "answered": False,
+                    "score_final": 1.0, "char_start": None, "char_end": None,
+                    "text": None}]
+        assert cli_main(self._files(tmp_path, gold, records)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "record e0" in captured.err and "'answered'" in captured.err
+
+    def test_id_mismatch_exits_1(self, tmp_path, capsys):
+        gold = [gold_example("e0"), gold_example("e1")]
+        records = [verdict_to_record(make_verdict(False), "e0", "x")]
+        assert cli_main(self._files(tmp_path, gold, records)) == 1
+        assert "missing=['e1']" in capsys.readouterr().err
 
 
 class TestFormatting:

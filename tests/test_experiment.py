@@ -1,6 +1,7 @@
 """Experiment plans: parsing, validation order, determinism, and reports."""
 
 import json
+import os
 
 import pytest
 
@@ -12,6 +13,9 @@ from essayqa.evalharness import (
     resolve_corpus,
     run_experiment,
 )
+from essayqa.model import new_model
+from essayqa.seqbuild import build_vocab
+from essayqa.train import Stage, TrainConfig, multi_stage_train
 
 
 def tiny_plan(tmp_path, stage_counts=(200,), eval_count=80, epochs=2):
@@ -124,6 +128,30 @@ class TestRunExperiment:
             run_experiment(plan, out_dir=str(out_dir))
         assert (out_dir / "stage1-s0.ckpt").exists()
         assert not (out_dir / "stage2-broken.ckpt").exists()
+
+    def test_checkpoints_byte_equal_to_multi_stage_train(self, tmp_path):
+        """The experiment runner trains through the same per-stage step as
+        multi_stage_train: same stage seeds, dev splits and checkpoint files."""
+        plan = tiny_plan(tmp_path, stage_counts=(90, 90), eval_count=20, epochs=1)
+        plan.stages[1].dev = None  # carve stage 2's dev split with its own seed
+        run_experiment(plan, out_dir=str(tmp_path / "experiment"))
+
+        corpora = [resolve_corpus(s.corpus) for s in plan.stages]
+        vocab = build_vocab([t for c in corpora for ex in c for t in (ex.question, ex.context)],
+                            size=plan.vocab["size"])
+        model = new_model(vocab, seed=plan.seed, **plan.model)
+        stages = [Stage(name=s.name, corpus=c, epochs=s.epochs,
+                        dev=resolve_corpus(s.dev) if s.dev is not None else None,
+                        dev_fraction=s.dev_fraction)
+                  for s, c in zip(plan.stages, corpora)]
+        _, infos = multi_stage_train(model, stages, TrainConfig(seed=plan.seed, **plan.train),
+                                     out_dir=str(tmp_path / "direct"))
+        names = [os.path.basename(info.checkpoint_path) for info in infos]
+        assert names == ["stage1-s0.ckpt", "stage2-s1.ckpt"]
+        assert infos[1].dev_size == 9
+        for name in names:
+            assert ((tmp_path / "experiment" / name).read_bytes()
+                    == (tmp_path / "direct" / name).read_bytes()), name
 
     def test_seeded_plan_reproducible(self, tmp_path):
         a = run_experiment(tiny_plan(tmp_path, stage_counts=(120,), epochs=1))
