@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import struct
+from dataclasses import asdict
 
 import numpy as np
 
@@ -40,7 +41,7 @@ def save_model(bundle: ModelBundle, path: str) -> None:
             raise CheckpointError(f"tensor {name!r} has unsupported dtype {arr.dtype}")
         tensors.append({"name": name, "shape": list(arr.shape), "dtype": code})
     header = {
-        "config": bundle.config.to_dict(),
+        "config": asdict(bundle.config),
         "verification": {
             "beta1": bundle.rv_beta1,
             "beta2": bundle.rv_beta2,
@@ -70,24 +71,36 @@ def load_model(path: str) -> ModelBundle:
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:
             raise CheckpointError(f"{path}: bad magic; not a checkpoint of this format")
-        (header_len,) = struct.unpack("<Q", fh.read(8))
+        length = fh.read(8)
+        if len(length) != 8:
+            raise CheckpointError(f"{path}: truncated header length")
+        (header_len,) = struct.unpack("<Q", length)
         try:
             header = json.loads(fh.read(header_len).decode("utf-8"))
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise CheckpointError(f"{path}: corrupt header: {exc}") from exc
-        config = EncoderConfig.from_dict(header["config"])
-        params: dict[str, np.ndarray] = {}
-        for entry in header["tensors"]:
-            dtype = np.dtype("<" + entry["dtype"])
-            count = int(np.prod(entry["shape"])) if entry["shape"] else 1
-            raw = fh.read(count * dtype.itemsize)
-            if len(raw) != count * dtype.itemsize:
-                raise CheckpointError(f"{path}: truncated tensor {entry['name']!r}")
-            arr = np.frombuffer(raw, dtype=dtype).reshape(entry["shape"])
-            params[entry["name"]] = arr.astype(dtype.newbyteorder("="))
-        trailing = fh.read(1)
-        if trailing:
-            raise CheckpointError(f"{path}: trailing bytes after tensor payload")
+        try:
+            return _bundle_from_header(path, header, fh)
+        except KeyError as exc:
+            raise CheckpointError(f"{path}: header has no field {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise CheckpointError(f"{path}: malformed header: {exc}") from exc
+
+
+def _bundle_from_header(path: str, header: dict, fh) -> ModelBundle:
+    """The model the header describes, with its tensors read from fh."""
+    config = EncoderConfig(**header["config"])
+    params: dict[str, np.ndarray] = {}
+    for entry in header["tensors"]:
+        dtype = np.dtype("<" + entry["dtype"])
+        count = int(np.prod(entry["shape"])) if entry["shape"] else 1
+        raw = fh.read(count * dtype.itemsize)
+        if len(raw) != count * dtype.itemsize:
+            raise CheckpointError(f"{path}: truncated tensor {entry['name']!r}")
+        arr = np.frombuffer(raw, dtype=dtype).reshape(entry["shape"])
+        params[entry["name"]] = arr.astype(dtype.newbyteorder("="))
+    if fh.read(1):
+        raise CheckpointError(f"{path}: trailing bytes after tensor payload")
     _check_tensors(path, params, config)
     vocab = Vocabulary(header["vocab"])
     if vocab.fingerprint() != header.get("vocab_fingerprint"):

@@ -15,11 +15,12 @@ import sys
 from . import corpus as corpus_mod
 from . import evalharness, qnorm, synthetic
 from .checkpoint import load_model, save_model
+from .encoder import DTYPES, EncoderConfig
 from .errors import EssayQAError
 from .locator import read_verdict_records, verdict_to_record, write_verdict_records
-from .model import new_model
+from .model import ModelBundle, new_model
 from .pipeline import EvaluationRequest, evaluate
-from .seqbuild import Vocabulary, build_vocab
+from .seqbuild import VOCAB_SIZE, Vocabulary, build_vocab
 from .train import Stage, TrainConfig, multi_stage_train
 
 DEFAULT_MODEL_ENV = "ESSAYQA_MODEL"
@@ -147,11 +148,11 @@ def _cmd_experiment(args) -> int:
 
 def _cmd_eval(args) -> int:
     gold = corpus_mod.load_any(args.gold)
-    with open(args.pred, encoding="utf-8") as fh:
-        records = read_verdict_records(fh)
     predictions: dict[str, str | None] = {}
-    for rec in records:
+    for rec in read_verdict_records(args.pred):
         qid = str(rec.get("question_id"))
+        if qid in predictions:
+            raise EssayQAError(f"record {qid}: question_id appears more than once")
         answered, text = rec.get("answered"), rec.get("text")
         if not isinstance(answered, bool) or answered != (text is not None):
             raise EssayQAError(f"record {qid}: 'answered' must be true exactly when "
@@ -244,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build-vocab", help="build a vocabulary from corpora")
     p.add_argument("--in", dest="infile", nargs="+", required=True,
                    help="text/.json/.jsonl inputs")
-    p.add_argument("--size", type=int, default=8000)
+    p.add_argument("--size", type=int, default=VOCAB_SIZE)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_build_vocab)
 
@@ -255,39 +256,41 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stats", help="answer-length statistics")
     p.add_argument("--in", dest="infile", nargs="+", required=True)
-    p.add_argument("--bin-width", type=int, default=5)
+    p.add_argument("--bin-width", type=int, default=corpus_mod.HISTOGRAM_BIN_WIDTH)
     p.add_argument("--out", help="histogram CSV (bin_start,bin_end,count)")
     p.set_defaults(func=_cmd_stats)
 
     p = sub.add_parser("generate", help="emit a synthetic essay corpus")
     p.add_argument("--count", type=int, required=True)
-    p.add_argument("--answerable-ratio", type=float, default=0.6)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--bank", choices=sorted(synthetic.BANKS), default="domain")
-    p.add_argument("--noise-rate", type=float, default=0.0)
+    syn = synthetic.SyntheticConfig
+    p.add_argument("--answerable-ratio", type=float, default=syn.answerable_ratio)
+    p.add_argument("--seed", type=int, default=syn.seed)
+    p.add_argument("--bank", choices=sorted(synthetic.BANKS), default=syn.bank)
+    p.add_argument("--noise-rate", type=float, default=syn.noise_rate)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("train", help="train a model on one corpus")
     p.add_argument("--corpus", required=True)
     p.add_argument("--dev", help="dev corpus for threshold selection")
-    p.add_argument("--dev-fraction", type=float, default=0.1)
+    p.add_argument("--dev-fraction", type=float,
+                   default=evalharness.PlanStage.dev_fraction)
     p.add_argument("--vocab", help="existing vocabulary file")
-    p.add_argument("--vocab-size", type=int, default=8000)
+    p.add_argument("--vocab-size", type=int, default=VOCAB_SIZE)
     p.add_argument("--rules")
-    p.add_argument("--layers", type=int, default=2)
-    p.add_argument("--d-model", type=int, default=64)
-    p.add_argument("--heads", type=int, default=4)
-    p.add_argument("--ffn-inner", type=int, default=256)
-    p.add_argument("--dtype", choices=["float32", "float64"], default="float64")
-    p.add_argument("--epochs", type=int, default=2)
-    p.add_argument("--learning-rate", type=float, default=1e-3)
-    p.add_argument("--batch-size", type=int, default=16)
-    p.add_argument("--warmup-steps", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--beta1", type=float, default=0.5)
-    p.add_argument("--beta2", type=float, default=0.5)
-    p.add_argument("--zeta", type=float, default=0.0)
+    p.add_argument("--layers", type=int, default=EncoderConfig.layers)
+    p.add_argument("--d-model", type=int, default=EncoderConfig.d_model)
+    p.add_argument("--heads", type=int, default=EncoderConfig.heads)
+    p.add_argument("--ffn-inner", type=int, default=EncoderConfig.ffn_inner)
+    p.add_argument("--dtype", choices=DTYPES, default=EncoderConfig.dtype)
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p.add_argument("--learning-rate", type=float, default=TrainConfig.learning_rate)
+    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--warmup-steps", type=int, default=TrainConfig.warmup_steps)
+    p.add_argument("--seed", type=int, default=TrainConfig.seed)
+    p.add_argument("--beta1", type=float, default=ModelBundle.rv_beta1)
+    p.add_argument("--beta2", type=float, default=ModelBundle.rv_beta2)
+    p.add_argument("--zeta", type=float, default=ModelBundle.zeta)
     p.add_argument("--loss-csv")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_train)
@@ -301,7 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="score a prediction file against gold")
     p.add_argument("--pred", required=True)
     p.add_argument("--gold", required=True)
-    p.add_argument("--overlap-unit", choices=["word", "subword"], default="word")
+    p.add_argument("--overlap-unit", choices=evalharness.OVERLAP_UNITS,
+                   default=evalharness.ExperimentPlan.overlap_unit)
     p.add_argument("--vocab", help="vocabulary file (needed for subword overlap)")
     p.set_defaults(func=_cmd_eval)
 

@@ -14,9 +14,12 @@ Every loaded answer is validated against its claimed offset.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .errors import ValidationError
+
+HISTOGRAM_BIN_WIDTH = 5  # characters per answer-length bin
 
 
 @dataclass(frozen=True)
@@ -75,30 +78,36 @@ def load_squad(path: str) -> list[QAExample]:
         articles = payload["data"]
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"{path}: missing top-level 'data' field") from exc
-    for article in articles:
-        for para in article.get("paragraphs", []):
-            context = para["context"]
-            for qa in para["qas"]:
-                is_impossible = bool(qa.get("is_impossible", False))
-                answers = () if is_impossible else tuple(
-                    GoldAnswer(text=a["text"], char_start=int(a["answer_start"]))
-                    for a in qa.get("answers", [])
-                )
-                ex = QAExample(
-                    example_id=str(qa["id"]),
-                    question=qa["question"],
-                    context=context,
-                    answerable=not is_impossible,
-                    gold_answers=answers,
-                )
-                ex.validate()
-                examples.append(ex)
+    try:
+        for article in articles:
+            for para in article.get("paragraphs", []):
+                context = para["context"]
+                for qa in para["qas"]:
+                    is_impossible = bool(qa.get("is_impossible", False))
+                    answers = () if is_impossible else tuple(
+                        GoldAnswer(text=a["text"], char_start=int(a["answer_start"]))
+                        for a in qa.get("answers", [])
+                    )
+                    ex = QAExample(
+                        example_id=str(qa["id"]),
+                        question=qa["question"],
+                        context=context,
+                        answerable=not is_impossible,
+                        gold_answers=answers,
+                    )
+                    ex.validate()
+                    examples.append(ex)
+    except KeyError as exc:
+        raise ValidationError(f"{path}: missing field {exc}") from exc
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ValidationError(f"{path}: malformed entry: {exc}") from exc
     return examples
 
 
-def load_sed_format(path: str) -> list[QAExample]:
-    """Load the line-delimited essay-record format, validating offsets."""
-    examples: list[QAExample] = []
+def read_json_lines(path: str) -> Iterator[tuple[int, dict]]:
+    """(line number, object) for each non-blank line of a JSON-lines file;
+    a line that is not a JSON object raises ValidationError naming path and
+    line."""
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -108,21 +117,33 @@ def load_sed_format(path: str) -> list[QAExample]:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValidationError(f"{path}:{lineno}: bad record: {exc}") from exc
-            try:
-                ex = QAExample(
-                    example_id=str(obj["example_id"]),
-                    question=obj["question"],
-                    context=obj["context"],
-                    answerable=bool(obj["answerable"]),
-                    gold_answers=tuple(
-                        GoldAnswer(text=a["text"], char_start=int(a["char_start"]))
-                        for a in obj.get("gold_answers", [])
-                    ),
-                )
-            except KeyError as exc:
-                raise ValidationError(f"{path}:{lineno}: missing field {exc}") from exc
-            ex.validate()
-            examples.append(ex)
+            if not isinstance(obj, dict):
+                raise ValidationError(f"{path}:{lineno}: record is a JSON "
+                                      f"{type(obj).__name__}, not an object")
+            yield lineno, obj
+
+
+def load_sed_format(path: str) -> list[QAExample]:
+    """Load the line-delimited essay-record format, validating offsets."""
+    examples: list[QAExample] = []
+    for lineno, obj in read_json_lines(path):
+        try:
+            ex = QAExample(
+                example_id=str(obj["example_id"]),
+                question=obj["question"],
+                context=obj["context"],
+                answerable=bool(obj["answerable"]),
+                gold_answers=tuple(
+                    GoldAnswer(text=a["text"], char_start=int(a["char_start"]))
+                    for a in obj.get("gold_answers", [])
+                ),
+            )
+        except KeyError as exc:
+            raise ValidationError(f"{path}:{lineno}: missing field {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"{path}:{lineno}: malformed record: {exc}") from exc
+        ex.validate()
+        examples.append(ex)
     return examples
 
 
@@ -148,7 +169,8 @@ def load_any(path: str) -> list[QAExample]:
     return load_sed_format(path)
 
 
-def answer_length_stats(examples: list[QAExample], bin_width: int = 5) -> CorpusStats:
+def answer_length_stats(examples: list[QAExample],
+                        bin_width: int = HISTOGRAM_BIN_WIDTH) -> CorpusStats:
     """Character-level gold-answer lengths (internal whitespace counted,
     surrounding whitespace not); unanswerable examples contribute no mass."""
     if bin_width <= 0:

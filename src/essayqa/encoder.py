@@ -21,7 +21,7 @@ from __future__ import annotations
 import ctypes
 import math
 import os
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,6 +55,7 @@ _retain_freed_heap()
 
 LN_EPS = 1e-5
 _MASKED = -1e30
+DTYPES = ("float32", "float64")
 
 
 @dataclass(frozen=True)
@@ -75,7 +76,7 @@ class EncoderConfig:
                 raise ValidationError(f"{name} must be positive")
         if self.d_model % self.heads != 0:
             raise ValidationError("d_model must be divisible by heads")
-        if self.dtype not in ("float32", "float64"):
+        if self.dtype not in DTYPES:
             raise ValidationError(f"unsupported dtype {self.dtype!r}")
 
     @property
@@ -85,13 +86,6 @@ class EncoderConfig:
     @property
     def np_dtype(self):
         return np.dtype(self.dtype)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EncoderConfig":
-        return cls(**d)
 
 
 def encoder_param_shapes(cfg: EncoderConfig) -> dict[str, tuple[int, ...]]:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import os
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .locator import Verdict
 from .model import ModelBundle, new_model
 from .pipeline import infer_verdict
 from .qnorm import split_words
-from .seqbuild import Vocabulary, build_vocab, tokenize
+from .seqbuild import VOCAB_SIZE, Vocabulary, build_vocab, tokenize
 from .synthetic import SyntheticConfig, generate_synthetic
 from .train import Stage, TrainConfig, run_stage
 
@@ -60,14 +60,17 @@ def accuracy(predictions: dict[str, bool], gold: list[QAExample]) -> float:
     return correct / len(gold)
 
 
+OVERLAP_UNITS = ("word", "subword")
+
+
 def _span_tokens(text: str, unit: str, vocab: Vocabulary | None) -> list[str]:
+    if unit not in OVERLAP_UNITS:
+        raise ValidationError(f"unknown overlap unit {unit!r}")
     if unit == "word":
         return [w.lower() for w, _, _ in split_words(text)]
-    if unit == "subword":
-        if vocab is None:
-            raise ValidationError("subword overlap needs a vocabulary")
-        return [t.surface for t in tokenize(text, vocab)]
-    raise ValidationError(f"unknown overlap unit {unit!r}")
+    if vocab is None:
+        raise ValidationError("subword overlap needs a vocabulary")
+    return [t.surface for t in tokenize(text, vocab)]
 
 
 def overlap_f1(pred_text: str | None, gold: QAExample, unit: str = "word",
@@ -236,22 +239,7 @@ class ExperimentReport:
         return out
 
     def to_dict(self) -> dict:
-        return {
-            "stages": [
-                {
-                    "name": s.name,
-                    "accuracy": s.accuracy,
-                    "mean_overlap_f1": s.mean_overlap_f1,
-                    "zeta": s.zeta,
-                    "loss_curve": s.loss_curve,
-                }
-                for s in self.stages
-            ],
-            "final_accuracy": self.final_accuracy,
-            "final_f1": self.final_f1,
-            "accuracy_cell": self.accuracy_cell,
-            "f1_cell": self.f1_cell,
-        }
+        return asdict(self)
 
 
 def run_experiment(plan: ExperimentPlan, base_dir: str = ".",
@@ -274,7 +262,7 @@ def run_experiment(plan: ExperimentPlan, base_dir: str = ".",
         vocab = Vocabulary.load(plan.vocab if os.path.isabs(plan.vocab)
                                 else os.path.join(base_dir, plan.vocab))
     else:
-        size = (plan.vocab or {}).get("size", 8000)
+        size = (plan.vocab or {}).get("size", VOCAB_SIZE)
         texts = [t for corpus in stage_corpora for ex in corpus
                  for t in (ex.question, ex.context)]
         vocab = build_vocab(texts, size=size)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .corpus import read_json_lines
 from .errors import ValidationError
 from .heads import ScoreBundle, SpanDistributions
 from .seqbuild import InputSequence
@@ -115,14 +116,5 @@ def write_verdict_records(records: list[dict], fh) -> None:
         fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
 
 
-def read_verdict_records(fh) -> list[dict]:
-    records = []
-    for lineno, line in enumerate(fh, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            records.append(json.loads(line))
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"line {lineno}: bad verdict record: {exc}") from exc
-    return records
+def read_verdict_records(path: str) -> list[dict]:
+    return [rec for _, rec in read_json_lines(path)]

@@ -22,16 +22,16 @@ from .errors import ValidationError
 # the "you" in "you're" is its own token) or a single non-space symbol.
 _WORD_RE = re.compile(r"[A-Za-z0-9]+|[^\sA-Za-z0-9]")
 
-DEFAULT_PRONOUN_PAIRS = [
+DEFAULT_PRONOUN_PAIRS = (
     ("you", "I"),
     ("your", "my"),
     ("yours", "mine"),
     ("yourself", "myself"),
-]
+)
 
-DEFAULT_QUESTION_WORDS = [
+DEFAULT_QUESTION_WORDS = (
     "what", "how", "why", "where", "when", "who", "which",
-]
+)
 
 
 def split_words(text: str) -> list[tuple[str, int, int]]:
@@ -48,8 +48,8 @@ class RewriteRuleSet:
     anchor redundant-word deletion.
     """
 
-    pronoun_map: tuple[tuple[str, str], ...] = tuple(DEFAULT_PRONOUN_PAIRS)
-    question_words: tuple[str, ...] = tuple(DEFAULT_QUESTION_WORDS)
+    pronoun_map: tuple[tuple[str, str], ...] = DEFAULT_PRONOUN_PAIRS
+    question_words: tuple[str, ...] = DEFAULT_QUESTION_WORDS
     case_policy: str = "capitalize_first"  # or "preserve"
 
     def __post_init__(self):
@@ -157,10 +157,12 @@ def load_rules(path: str) -> RewriteRuleSet:
 
         [options]
         case_policy = capitalize_first
+
+    A section left empty keeps the built-in defaults of this module.
     """
     pronouns: list[tuple[str, str]] = []
     qwords: list[str] = []
-    case_policy = "capitalize_first"
+    case_policy = RewriteRuleSet.case_policy
     section = None
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -190,12 +192,8 @@ def load_rules(path: str) -> RewriteRuleSet:
                 case_policy = value
             else:
                 raise ValidationError(f"{path}:{lineno}: entry outside any section")
-    if not pronouns:
-        pronouns = list(DEFAULT_PRONOUN_PAIRS)
-    if not qwords:
-        qwords = list(DEFAULT_QUESTION_WORDS)
     return RewriteRuleSet(
-        pronoun_map=tuple(pronouns),
-        question_words=tuple(qwords),
+        pronoun_map=tuple(pronouns) or DEFAULT_PRONOUN_PAIRS,
+        question_words=tuple(qwords) or DEFAULT_QUESTION_WORDS,
         case_policy=case_policy,
     )

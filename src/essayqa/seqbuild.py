@@ -28,6 +28,7 @@ PAD = "[PAD]"
 RESERVED = (CLS, SEP, UNK, PAD)
 
 MAX_INPUT_LEN = 512
+VOCAB_SIZE = 8000  # default cap on vocabulary terms
 
 # Entries a Vocabulary's word-piece memo may hold; it is emptied when full.
 WORD_MEMO_CAP = 2 ** 15
@@ -239,7 +240,7 @@ def assemble(
     return InputSequence(tokens=tokens, m=m, n=len(e_tokens), truncated=truncated)
 
 
-def build_vocab(texts: list[str], size: int = 8000) -> Vocabulary:
+def build_vocab(texts: list[str], size: int = VOCAB_SIZE) -> Vocabulary:
     """Frequency-based vocabulary: reserved symbols, every single character
     seen (the fallback alphabet), then the most frequent words up to `size`.
 

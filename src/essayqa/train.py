@@ -24,7 +24,7 @@ from .checkpoint import save_model
 from .corpus import QAExample
 from .encoder import EncoderConfig, backward_batch, forward_batch, pad_ids, softmax_last
 from .errors import EssayQAError, OversizedQuestionError, ValidationError
-from .heads import SpanDistributions, log_softmax_positions, span_logits, verifier_logits
+from .heads import log_softmax_positions, span_logits, verifier_logits
 from .model import ModelBundle
 from .pipeline import infer_verdict
 from .qnorm import RewriteRuleSet, normalize
@@ -114,20 +114,6 @@ def prepare_examples(corpus: list[QAExample], vocab: Vocabulary, rules: RewriteR
     if skipped:
         logger.info("skipped %d oversized-question examples", skipped)
     return prepared, skipped
-
-
-def compute_loss(dist: SpanDistributions, efv_logits, gold: TrainingExample,
-                 w_span: float = 1.0, w_verifier: float = 1.0) -> float:
-    """Loss of one example from its predicted distributions and verifier
-    logits (logit_ans, logit_na)."""
-    ps = float(dist.prob_start[gold.gold_start - 1])
-    pe = float(dist.prob_end[gold.gold_end - 1])
-    span_nll = -(np.log(max(ps, 1e-300)) + np.log(max(pe, 1e-300))) / 2.0
-    logits = np.asarray(efv_logits, dtype=np.float64)
-    target = 0 if gold.answerable else 1
-    log_z = np.logaddexp(logits[0], logits[1])
-    ce = float(log_z - logits[target])
-    return float(w_span * span_nll + w_verifier * ce)
 
 
 def loss_and_grads(params: dict[str, np.ndarray], cfg: EncoderConfig,

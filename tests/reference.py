@@ -73,6 +73,22 @@ def brute_force_tav(prob_start, prob_end):
     return score_has, score_null, score_null - score_has
 
 
+def ref_example_loss(prob_start, prob_end, verifier_logits, gold,
+                     w_span=1.0, w_verifier=1.0):
+    """Training loss of one example: the mean negative log of the gold start
+    and end probabilities (1-indexed positions on ``gold``), plus the
+    cross-entropy of the (logit_ans, logit_na) verifier pair against
+    "answered" for an answerable example and "not answered" otherwise."""
+    log_p_start = math.log(float(prob_start[gold.gold_start - 1]))
+    log_p_end = math.log(float(prob_end[gold.gold_end - 1]))
+    span_nll = -(log_p_start + log_p_end) / 2.0
+    logit_ans, logit_na = (float(x) for x in verifier_logits)
+    log_z = float(np.logaddexp(logit_ans, logit_na))
+    target_logit = logit_ans if gold.answerable else logit_na
+    verifier_ce = log_z - target_logit
+    return w_span * span_nll + w_verifier * verifier_ce
+
+
 def finite_difference_grad(loss_fn, params, name, h=1e-5):
     """Central differences of loss_fn(params) w.r.t. params[name]."""
     base = params[name]

@@ -76,6 +76,14 @@ class TestLoadSquad:
         with pytest.raises(ValidationError):
             load_squad(str(path))
 
+    def test_question_without_id_names_file(self, tmp_path):
+        payload = squad_payload()
+        del payload["data"][0]["paragraphs"][0]["qas"][1]["id"]
+        path = tmp_path / "no-id.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ValidationError, match=r"no-id\.json: missing field 'id'"):
+            load_squad(str(path))
+
 
 class TestSedFormat:
     def test_empty_file(self, tmp_path):
@@ -103,6 +111,17 @@ class TestSedFormat:
         path = tmp_path / "bad.jsonl"
         path.write_text('{"example_id": "x"}\n', encoding="utf-8")
         with pytest.raises(ValidationError, match=":1"):
+            load_sed_format(str(path))
+
+    def test_gold_answer_that_is_not_an_object_reports_line(self, tmp_path):
+        good = {"example_id": "a", "question": "q", "context": "I agree.",
+                "answerable": False}
+        bad = {"example_id": "b", "question": "q", "context": "I agree.",
+               "answerable": True, "gold_answers": ["I agree"]}
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n",
+                        encoding="utf-8")
+        with pytest.raises(ValidationError, match=r"bad\.jsonl:2: malformed record"):
             load_sed_format(str(path))
 
 

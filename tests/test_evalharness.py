@@ -234,6 +234,28 @@ class TestCliEval:
         assert cli_main(self._files(tmp_path, gold, records)) == 1
         assert "missing=['e1']" in capsys.readouterr().err
 
+    def test_duplicate_question_id_exits_1(self, tmp_path, capsys):
+        gold = [gold_example("e0", answers=("aa bb",), context="aa bb cc"),
+                gold_example("e1", answerable=False, context="dd ee")]
+        records = [verdict_to_record(make_verdict(False), "e0", "x"),
+                   verdict_to_record(make_verdict(True, "aa bb"), "e0", "x"),
+                   verdict_to_record(make_verdict(False), "e1", "x")]
+        assert cli_main(self._files(tmp_path, gold, records)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "record e0" in captured.err and "more than once" in captured.err
+
+    @pytest.mark.parametrize("bad_file", ["pred", "gold"])
+    def test_line_that_is_not_an_object_exits_1(self, tmp_path, capsys, bad_file):
+        gold = [gold_example("e0")]
+        records = [verdict_to_record(make_verdict(True, "the tall tower"), "e0", "x")]
+        args = self._files(tmp_path, gold, records)
+        (tmp_path / f"{bad_file}.jsonl").write_text("[1,2]\n", encoding="utf-8")
+        assert cli_main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{bad_file}.jsonl:1:" in captured.err
+
 
 class TestFormatting:
     def test_positive_delta(self):

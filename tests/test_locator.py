@@ -181,8 +181,7 @@ class TestVerdictRecords:
         path = tmp_path / "verdicts.jsonl"
         with open(path, "w", encoding="utf-8") as fh:
             write_verdict_records(records, fh)
-        with open(path, encoding="utf-8") as fh:
-            loaded = read_verdict_records(fh)
+        loaded = read_verdict_records(str(path))
         assert loaded == records
         assert loaded[0]["answered"] is True
         assert loaded[0]["text"] == verdicts[0].span.text

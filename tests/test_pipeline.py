@@ -9,8 +9,9 @@ import pytest
 
 from essayqa import qnorm, seqbuild
 from essayqa.checkpoint import save_model
+from essayqa.corpus import save_sed_format
 from essayqa.errors import ValidationError
-from essayqa.evalharness import evaluate_model
+from essayqa.evalharness import PlanStage, evaluate_model
 from essayqa.model import new_model
 from essayqa.pipeline import EvaluationRequest, evaluate, infer_verdict
 from essayqa.seqbuild import Vocabulary, assemble, build_vocab
@@ -284,6 +285,22 @@ class TestCli:
         records = [json.loads(line) for line in
                    capsys.readouterr().out.strip().splitlines()]
         assert len(records) == 40
+
+    def test_train_defaults_are_the_library_defaults(self, tmp_path, capsys):
+        corpus = generate_synthetic(SyntheticConfig(count=40, seed=12))
+        corpus_file = tmp_path / "train.jsonl"
+        save_sed_format(corpus, str(corpus_file))
+        ckpt = tmp_path / "cli.ckpt"
+        assert run_cli(["train", "--corpus", str(corpus_file), "--out", str(ckpt)]) == 0
+        capsys.readouterr()
+
+        vocab = build_vocab([t for ex in corpus for t in (ex.question, ex.context)])
+        stage = Stage(name="train", corpus=corpus, dev_fraction=PlanStage.dev_fraction)
+        model, infos = multi_stage_train(new_model(vocab, seed=0), [stage], TrainConfig())
+        assert infos[0].dev_size == 4
+        library = tmp_path / "library.ckpt"
+        save_model(model, str(library))
+        assert ckpt.read_bytes() == library.read_bytes()
 
     def test_eval_subword_unit_with_vocab(self, trained, tmp_path, capsys):
         model, ckpt, _ = trained

@@ -186,6 +186,12 @@ class TestRulesFile:
         assert rules.case_policy == "preserve"
         assert normalize("tell me whether we agree", rules).normalized == "whether they agree"
 
+    def test_empty_sections_keep_the_defaults(self, tmp_path):
+        path = tmp_path / "options-only.rules"
+        path.write_text("[pronouns]\n[options]\ncase_policy = capitalize_first\n",
+                        encoding="utf-8")
+        assert load_rules(str(path)) == RewriteRuleSet()
+
     def test_bad_section(self, tmp_path):
         path = tmp_path / "bad.rules"
         path.write_text("[nonsense]\n", encoding="utf-8")
@@ -197,12 +203,3 @@ class TestRulesFile:
         path.write_text("you -> I\n", encoding="utf-8")
         with pytest.raises(ValidationError):
             load_rules(str(path))
-
-    def test_packaged_default_rules_parse(self):
-        from importlib import resources
-
-        with resources.as_file(
-            resources.files("essayqa").joinpath("data/default.rules")
-        ) as path:
-            rules = load_rules(str(path))
-        assert rules == RewriteRuleSet()

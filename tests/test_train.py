@@ -1,12 +1,15 @@
 """Training loop: example preparation, overfit capacity, determinism,
 threshold selection, and multi-stage threading with checkpoint resume."""
 
+import json
+import struct
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from essayqa.checkpoint import load_model, save_model
+from essayqa.checkpoint import MAGIC, load_model, save_model
+from essayqa.cli import cli_main
 from essayqa.corpus import GoldAnswer, QAExample
 from essayqa.encoder import encode
 from essayqa.errors import CheckpointError, ValidationError
@@ -345,3 +348,31 @@ class TestCheckpointMatchesConfig:
         path = self._saved(tmp_path, to_f4)
         with pytest.raises(CheckpointError, match="float32"):
             load_model(path)
+
+
+def _header_bytes(header: dict) -> bytes:
+    blob = json.dumps(header).encode("utf-8")
+    return MAGIC + struct.pack("<Q", len(blob)) + blob
+
+
+class TestMalformedCheckpoint:
+    """Hand-built files that are checkpoints in name only fail with
+    CheckpointError, which the CLI reports as ``error: ...`` with exit 1."""
+
+    @pytest.mark.parametrize("content, message", [
+        (MAGIC + b"\x05\x00\x00", "truncated header length"),
+        (_header_bytes({"config": {"vocab_size": 8}}), "no field 'tensors'"),
+        (_header_bytes({"config": {"vocab_size": 8, "colour": "blue"}, "tensors": []}),
+         "colour"),
+    ], ids=["cut-in-header-length", "no-tensors", "unknown-config-key"])
+    def test_rejected_cleanly(self, tmp_path, capsys, content, message):
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(content)
+        with pytest.raises(CheckpointError, match=message):
+            load_model(str(path))
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("", encoding="utf-8")
+        assert cli_main(["predict", "--model", str(path), "--corpus", str(corpus)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and message in captured.err
