@@ -21,6 +21,8 @@ from .errors import ValidationError
 
 HISTOGRAM_BIN_WIDTH = 5  # characters per answer-length bin
 
+_JSON_TYPE_NAMES = {str: "string", bool: "boolean"}
+
 
 @dataclass(frozen=True)
 class GoldAnswer:
@@ -66,6 +68,17 @@ class CorpusStats:
         return sum(count for _, _, count in self.answer_length_histogram)
 
 
+def _typed(obj: dict, key: str, kind: type, default=None):
+    """``obj[key]``, or ``default`` when given and the key is absent; the value
+    must be a JSON value of ``kind``.  KeyError when missing, TypeError when
+    mistyped."""
+    value = obj[key] if default is None else obj.get(key, default)
+    if not isinstance(value, kind):
+        raise TypeError(f"field '{key}' must be a JSON {_JSON_TYPE_NAMES[kind]}, "
+                        f"not {json.dumps(value)}")
+    return value
+
+
 def load_squad(path: str) -> list[QAExample]:
     """Flatten a SQuAD 2.0 file into one example per question."""
     try:
@@ -81,16 +94,17 @@ def load_squad(path: str) -> list[QAExample]:
     try:
         for article in articles:
             for para in article.get("paragraphs", []):
-                context = para["context"]
+                context = _typed(para, "context", str)
                 for qa in para["qas"]:
-                    is_impossible = bool(qa.get("is_impossible", False))
+                    is_impossible = _typed(qa, "is_impossible", bool, False)
                     answers = () if is_impossible else tuple(
-                        GoldAnswer(text=a["text"], char_start=int(a["answer_start"]))
+                        GoldAnswer(text=_typed(a, "text", str),
+                                   char_start=int(a["answer_start"]))
                         for a in qa.get("answers", [])
                     )
                     ex = QAExample(
                         example_id=str(qa["id"]),
-                        question=qa["question"],
+                        question=_typed(qa, "question", str),
                         context=context,
                         answerable=not is_impossible,
                         gold_answers=answers,
@@ -130,11 +144,11 @@ def load_sed_format(path: str) -> list[QAExample]:
         try:
             ex = QAExample(
                 example_id=str(obj["example_id"]),
-                question=obj["question"],
-                context=obj["context"],
-                answerable=bool(obj["answerable"]),
+                question=_typed(obj, "question", str),
+                context=_typed(obj, "context", str),
+                answerable=_typed(obj, "answerable", bool),
                 gold_answers=tuple(
-                    GoldAnswer(text=a["text"], char_start=int(a["char_start"]))
+                    GoldAnswer(text=_typed(a, "text", str), char_start=int(a["char_start"]))
                     for a in obj.get("gold_answers", [])
                 ),
             )

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from essayqa.cli import cli_main
 from essayqa.corpus import (
     CorpusStats,
     GoldAnswer,
@@ -84,6 +85,29 @@ class TestLoadSquad:
         with pytest.raises(ValidationError, match=r"no-id\.json: missing field 'id'"):
             load_squad(str(path))
 
+    @pytest.mark.parametrize("value", ["no", 0, None])
+    def test_is_impossible_must_be_boolean(self, tmp_path, value):
+        payload = squad_payload()
+        payload["data"][0]["paragraphs"][0]["qas"][1]["is_impossible"] = value
+        path = tmp_path / "flag.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ValidationError,
+                           match=r"flag\.json: .*'is_impossible' must be a JSON boolean"):
+            load_squad(str(path))
+
+    @pytest.mark.parametrize("where, key", [
+        (lambda p: p["data"][0]["paragraphs"][0]["qas"][0], "question"),
+        (lambda p: p["data"][0]["paragraphs"][0], "context"),
+        (lambda p: p["data"][0]["paragraphs"][0]["qas"][0]["answers"][0], "text"),
+    ], ids=["question", "context", "answer-text"])
+    def test_text_must_be_string(self, tmp_path, where, key):
+        payload = squad_payload()
+        where(payload)[key] = 1889
+        path = tmp_path / "num.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ValidationError, match=rf"num\.json: .*'{key}' must be a JSON string"):
+            load_squad(str(path))
+
 
 class TestSedFormat:
     def test_empty_file(self, tmp_path):
@@ -123,6 +147,46 @@ class TestSedFormat:
                         encoding="utf-8")
         with pytest.raises(ValidationError, match=r"bad\.jsonl:2: malformed record"):
             load_sed_format(str(path))
+
+
+    @pytest.mark.parametrize("value", ["no", 1, None])
+    def test_answerable_must_be_boolean(self, tmp_path, value):
+        rec = {"example_id": "x", "question": "q", "context": "I agree.",
+               "answerable": value}
+        path = tmp_path / "flag.jsonl"
+        path.write_text(json.dumps(rec) + "\n", encoding="utf-8")
+        with pytest.raises(ValidationError,
+                           match=r"flag\.jsonl:1: .*'answerable' must be a JSON boolean"):
+            load_sed_format(str(path))
+
+    @pytest.mark.parametrize("key, value", [
+        ("question", 5), ("context", ["I agree."]), ("text", 7),
+    ])
+    def test_text_must_be_string(self, tmp_path, key, value):
+        good = {"example_id": "a", "question": "q", "context": "I agree.",
+                "answerable": True, "gold_answers": [{"text": "I agree", "char_start": 0}]}
+        bad = json.loads(json.dumps(good))
+        if key == "text":
+            bad["gold_answers"][0]["text"] = value
+        else:
+            bad[key] = value
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n",
+                        encoding="utf-8")
+        with pytest.raises(ValidationError,
+                           match=rf"bad\.jsonl:2: .*'{key}' must be a JSON string"):
+            load_sed_format(str(path))
+
+    def test_ingest_of_non_string_question_exits_1(self, tmp_path, capsys):
+        rec = {"example_id": "x", "question": 5, "context": "I agree.",
+               "answerable": False}
+        path = tmp_path / "num.jsonl"
+        path.write_text(json.dumps(rec) + "\n", encoding="utf-8")
+        out = tmp_path / "out.jsonl"
+        assert cli_main(["ingest", "--in", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "num.jsonl:1:" in err and "'question'" in err
+        assert not out.exists()
 
 
 class TestStats:

@@ -13,7 +13,7 @@ from essayqa.cli import cli_main
 from essayqa.corpus import GoldAnswer, QAExample
 from essayqa.encoder import encode
 from essayqa.errors import CheckpointError, ValidationError
-from essayqa.heads import span_probabilities
+from essayqa.heads import span_probabilities, verifier_logits
 from essayqa.model import new_model, param_shapes
 from essayqa.qnorm import RewriteRuleSet
 from essayqa.seqbuild import build_vocab
@@ -22,12 +22,16 @@ from essayqa.train import (
     Adam,
     Stage,
     TrainConfig,
+    TrainingExample,
+    length_sorted_parts,
     loss_and_grads,
     multi_stage_train,
     prepare_examples,
     select_zeta,
     train_stage,
 )
+
+from reference import ref_example_loss
 
 RULES = RewriteRuleSet()
 
@@ -155,8 +159,22 @@ class TestTrainStage:
         cfg = TrainConfig(epochs=50, learning_rate=1e9, batch_size=8, seed=0)
         from essayqa.errors import EssayQAError
 
-        with np.errstate(all="ignore"), pytest.raises(EssayQAError, match="diverged"):
+        with np.errstate(all="ignore"), pytest.raises(
+                EssayQAError, match="diverged at step 1: loss=inf; all parameters finite"):
             train_stage(model.params, corpus, model.vocab, RULES, model.config, cfg)
+
+    def test_divergence_guard_names_first_non_finite_tensor(self):
+        corpus = small_corpus(8, seed=1)
+        model = desk_model(corpus)
+        params = dict(model.params)
+        params["layer1.ffn.b2"] = np.full_like(params["layer1.ffn.b2"], np.nan)
+        params["span.w_end"] = np.full_like(params["span.w_end"], np.inf)
+        from essayqa.errors import EssayQAError
+
+        with np.errstate(all="ignore"), pytest.raises(
+                EssayQAError, match=r"diverged at step 0: .*parameter layer1\.ffn\.b2 "):
+            train_stage(params, corpus, model.vocab, RULES, model.config,
+                        TrainConfig(epochs=1, batch_size=8, seed=0))
 
     def test_loss_gradients_finite_on_real_batch(self):
         corpus = small_corpus(8)
@@ -168,6 +186,67 @@ class TestTrainStage:
         assert np.isfinite(loss)
         for g in grads.values():
             assert np.all(np.isfinite(g))
+
+
+def padded_positions(groups):
+    return sum(len(g) * max(ex.tau for ex in g) - sum(ex.tau for ex in g) for g in groups)
+
+
+class TestLengthSortedParts:
+    def batch(self, n=11):
+        corpus = small_corpus(40, seed=17)
+        model = desk_model(corpus)
+        prepared, _ = prepare_examples(corpus, model.vocab, RULES, model.config.max_len)
+        return model, prepared[:n]
+
+    def test_parts_partition_the_batch_sorted_by_length(self):
+        _, batch = self.batch()
+        parts = length_sorted_parts(batch)
+        assert [len(p) for p in parts] == [4, 4, 3]
+        flat = [ex for p in parts for ex in p]
+        assert flat == sorted(batch, key=lambda ex: ex.tau)  # stable: ties keep batch order
+
+    def test_ties_keep_batch_order(self):
+        rows = [TrainingExample(ids=(0,) * t, m=1, gold_start=1, gold_end=1,
+                                answerable=False, example_id=str(i))
+                for i, t in enumerate([5, 3, 5, 3, 4, 5])]
+        parts = length_sorted_parts(rows)
+        assert [[ex.example_id for ex in p] for p in parts] == [["1", "3", "4", "0"], ["2", "5"]]
+
+    def test_batch_gradient_is_the_mean_over_its_examples(self):
+        model, batch = self.batch()
+        assert len({ex.tau for ex in batch}) > 3
+        loss, grads = loss_and_grads(model.params, model.config, batch, model.vocab.pad_id)
+        singles = [loss_and_grads(model.params, model.config, [ex], model.vocab.pad_id)
+                   for ex in batch]
+        want_loss = 0.0
+        for ex in batch:
+            h = encode(list(ex.ids), model.params, model.config)
+            dist = span_probabilities(h, model.params)
+            want_loss += ref_example_loss(dist.prob_start, dist.prob_end,
+                                          verifier_logits(h[0], model.params), ex)
+        want_loss /= len(batch)
+        assert loss == pytest.approx(want_loss, rel=1e-12)
+        assert loss == pytest.approx(np.mean([single_loss for single_loss, _ in singles]), rel=1e-12)
+        for name, g in grads.items():
+            want = np.mean([s[name] for _, s in singles], axis=0)
+            assert np.allclose(g, want, rtol=1e-10, atol=1e-14), name
+
+    def test_cuts_padding_on_mixed_length_corpus(self):
+        corpus = (generate_synthetic(SyntheticConfig(count=300, seed=31, bank="domain"))
+                  + generate_synthetic(SyntheticConfig(count=300, seed=32, bank="general")))
+        model = desk_model(corpus)
+        prepared, _ = prepare_examples(corpus, model.vocab, RULES, model.config.max_len)
+        taus = [ex.tau for ex in prepared]
+        assert len(prepared) >= 512 and max(taus) > 2 * min(taus)
+        order = np.random.default_rng(0).permutation(len(prepared)).tolist()
+        batches = [[prepared[i] for i in order[lo: lo + 16]]
+                   for lo in range(0, len(order), 16)]
+        parts = [p for b in batches for p in length_sorted_parts(b)]
+        unsorted = [b[lo: lo + len(parts[0])] for b in batches
+                    for lo in range(0, len(b), len(parts[0]))]
+        assert padded_positions(parts) <= 0.85 * padded_positions(batches)
+        assert padded_positions(parts) <= 0.5 * padded_positions(unsorted)
 
 
 class TestSelectZeta:
