@@ -193,15 +193,11 @@ def _cmd_predict(args) -> int:
     records: list[dict] = []
     if args.corpus:
         examples = corpus_mod.load_any(args.corpus)
-        verdicts = evalharness.predict_corpus(
-            model, examples,
-            paper_literal_threshold=args.paper_literal_threshold,
-            paper_literal_region=args.paper_literal_region,
-        )
+        verdicts = evalharness.predict_corpus(model, examples)
+        # a corpus record names no essay, so essay_id stays null
         for ex in examples:
             records.append(verdict_to_record(verdicts[ex.example_id],
-                                             question_id=ex.example_id,
-                                             essay_id=ex.example_id.rsplit("-", 1)[0]))
+                                             question_id=ex.example_id, essay_id=None))
     else:
         if not args.essay or not args.requirements:
             raise EssayQAError("predict needs --corpus, or --essay with --requirements")
@@ -211,9 +207,7 @@ def _cmd_predict(args) -> int:
             requirements = [line.strip() for line in fh if line.strip()]
         request = EvaluationRequest(essay=essay, requirements=tuple(requirements),
                                     model=model)
-        verdicts = evaluate(request,
-                            paper_literal_threshold=args.paper_literal_threshold,
-                            paper_literal_region=args.paper_literal_region)
+        verdicts = evaluate(request)
         essay_id = os.path.splitext(os.path.basename(args.essay))[0]
         for i, verdict in enumerate(verdicts, start=1):
             records.append(verdict_to_record(verdict, question_id=f"q{i}",
@@ -221,9 +215,10 @@ def _cmd_predict(args) -> int:
     if args.pretty:
         for rec in records:
             mark = "answered" if rec["answered"] else "not answered"
+            score = rec["score_final"]
+            score = "n/a" if score is None else f"{score:+.4f}"
             tail = f' "{rec["text"]}"' if rec["answered"] else ""
-            print(f'{rec["question_id"]}: {mark} '
-                  f'(score_final={rec["score_final"]:+.4f}){tail}')
+            print(f'{rec["question_id"]}: {mark} (score_final={score}){tail}')
     else:
         write_verdict_records(records, sys.stdout)
     return 0
@@ -318,8 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta1", type=float)
     p.add_argument("--beta2", type=float)
     p.add_argument("--zeta", type=float)
-    p.add_argument("--paper-literal-threshold", action="store_true")
-    p.add_argument("--paper-literal-region", action="store_true")
     p.add_argument("--pretty", action="store_true")
     p.set_defaults(func=_cmd_predict)
 

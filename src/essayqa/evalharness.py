@@ -19,7 +19,6 @@ import numpy as np
 
 from .corpus import QAExample, load_any
 from .errors import OversizedQuestionError, PlanError, ValidationError
-from .heads import ScoreBundle
 from .locator import Verdict
 from .model import ModelBundle, new_model
 from .pipeline import infer_verdict
@@ -129,29 +128,21 @@ def evaluate_verdicts(verdicts: dict[str, Verdict], gold: list[QAExample],
     return evaluate_predictions(predictions, gold, unit, vocab)
 
 
-def predict_corpus(model: ModelBundle, examples: list[QAExample],
-                   paper_literal_threshold: bool = False,
-                   paper_literal_region: bool = False) -> dict[str, Verdict]:
+def predict_corpus(model: ModelBundle, examples: list[QAExample]) -> dict[str, Verdict]:
     """Verdict per example id; an oversized question yields a not-answered
-    verdict with zeroed scores rather than aborting the run."""
+    verdict without scores rather than aborting the run."""
     out: dict[str, Verdict] = {}
     for ex in examples:
         try:
-            out[ex.example_id] = infer_verdict(
-                model, ex.question, ex.context,
-                paper_literal_threshold=paper_literal_threshold,
-                paper_literal_region=paper_literal_region,
-            )
+            out[ex.example_id] = infer_verdict(model, ex.question, ex.context)
         except OversizedQuestionError:
-            zero = ScoreBundle(0.0, 0.0, 0.0, 0.0, 0.0, answered=False)
-            out[ex.example_id] = Verdict(answered=False, scores=zero)
+            out[ex.example_id] = Verdict(answered=False, scores=None)
     return out
 
 
-def evaluate_model(model: ModelBundle, examples: list[QAExample], unit: str = "word",
-                   paper_literal_threshold: bool = False) -> EvalResult:
-    verdicts = predict_corpus(model, examples,
-                              paper_literal_threshold=paper_literal_threshold)
+def evaluate_model(model: ModelBundle, examples: list[QAExample],
+                   unit: str = "word") -> EvalResult:
+    verdicts = predict_corpus(model, examples)
     vocab = model.vocab if unit == "subword" else None
     return evaluate_verdicts(verdicts, examples, unit=unit, vocab=vocab)
 

@@ -7,9 +7,7 @@ likelier reading:
     score_diff = score_null - score_has        (threshold verification)
     score_final = beta1 * score_diff + beta2 * score_ext
 
-The verdict is therefore "answered" when score_final <= zeta.  The flag
-``paper_literal_threshold`` flips the comparison for side-by-side study of
-the opposite orientation.
+The verdict is therefore "answered" when score_final <= zeta.
 """
 
 from __future__ import annotations
@@ -129,30 +127,22 @@ def threshold_verification(dist: SpanDistributions):
 
 
 def rear_verification(score_diff: float, score_ext: float, beta1: float, beta2: float,
-                      zeta: float, paper_literal_threshold: bool = False):
+                      zeta: float):
     """(score_final, answered): weighted combination against threshold zeta.
 
     Both inputs grow with no-answer evidence, so answered means
-    score_final <= zeta (boundary counts as answered); the literal flag
-    inverts the comparison.
+    score_final <= zeta (boundary counts as answered).
     """
     score_final = beta1 * score_diff + beta2 * score_ext
-    if paper_literal_threshold:
-        answered = score_final > zeta
-    else:
-        answered = score_final <= zeta
-    return score_final, answered
+    return score_final, score_final <= zeta
 
 
 def verify(dist: SpanDistributions, h_cls: np.ndarray, params: dict[str, np.ndarray],
-           beta1: float, beta2: float, zeta: float,
-           paper_literal_threshold: bool = False) -> ScoreBundle:
+           beta1: float, beta2: float, zeta: float) -> ScoreBundle:
     """Run all three verification steps and bundle the scores."""
     _, _, score_ext = external_front_verification(h_cls, params)
     score_has, score_null, score_diff = threshold_verification(dist)
-    score_final, answered = rear_verification(
-        score_diff, score_ext, beta1, beta2, zeta, paper_literal_threshold
-    )
+    score_final, answered = rear_verification(score_diff, score_ext, beta1, beta2, zeta)
     return ScoreBundle(
         score_ext=score_ext,
         score_has=score_has,

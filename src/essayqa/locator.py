@@ -30,7 +30,7 @@ class ResponseSpan:
 @dataclass(frozen=True)
 class Verdict:
     answered: bool
-    scores: ScoreBundle
+    scores: ScoreBundle | None  # None only for a question too long to encode
     token_span: tuple[int, int] | None = None  # 1-indexed positions in T
     span: ResponseSpan | None = None
 
@@ -61,50 +61,38 @@ def span_to_chars(token_span: tuple[int, int], seq: InputSequence, essay: str) -
 
 
 def locate_response(dist: SpanDistributions, seq: InputSequence, scores: ScoreBundle,
-                    essay: str, paper_literal_region: bool = False) -> Verdict:
-    """Decide the final verdict for one (question, essay) pair.
-
-    The essay region starts at position m+3; with paper_literal_region the
-    cut moves to m+1, which additionally admits the last question token and
-    [SEP] -- in that mode character extraction still uses only essay tokens
-    inside the chosen span, and a span with no essay token is not answered.
-    """
+                    essay: str) -> Verdict:
+    """Decide the final verdict for one (question, essay) pair; the essay
+    region starts at position m+3."""
     if dist.tau != seq.tau:
         raise ValidationError(f"distribution length {dist.tau} != sequence tau {seq.tau}")
     start_pos = int(np.argmax(dist.prob_start)) + 1
     end_pos = int(np.argmax(dist.prob_end)) + 1
-    min_pos = seq.m + 1 if paper_literal_region else seq.essay_start_pos
-
     not_answered = Verdict(answered=False, scores=scores,
                            token_span=(start_pos, end_pos), span=None)
     if not scores.answered:
         return not_answered
-    if start_pos < min_pos or end_pos < min_pos:
+    if min(start_pos, end_pos) < seq.essay_start_pos:
         return not_answered
     if start_pos > end_pos:
         return not_answered
 
-    lo, hi = start_pos, end_pos
-    if paper_literal_region:
-        essay_positions = [p for p in range(lo, hi + 1) if p >= seq.essay_start_pos]
-        if not essay_positions:
-            return not_answered
-        lo, hi = essay_positions[0], essay_positions[-1]
-    span = span_to_chars((lo, hi), seq, essay)
+    span = span_to_chars((start_pos, end_pos), seq, essay)
     return Verdict(answered=True, scores=scores, token_span=(start_pos, end_pos), span=span)
 
 
 # ------------------------------------------------------- verdict records
 
 
-def verdict_to_record(verdict: Verdict, question_id: str, essay_id: str) -> dict:
+def verdict_to_record(verdict: Verdict, question_id: str, essay_id: str | None) -> dict:
     """Line-record form: {question_id, essay_id, answered, score_final,
-    char_start, char_end, text} with null span fields when not answered."""
+    char_start, char_end, text} with null span fields when not answered and
+    a null score_final when the verdict has no scores."""
     return {
         "question_id": question_id,
         "essay_id": essay_id,
         "answered": verdict.answered,
-        "score_final": verdict.scores.score_final,
+        "score_final": verdict.scores.score_final if verdict.scores is not None else None,
         "char_start": verdict.span.char_start if verdict.span else None,
         "char_end": verdict.span.char_end if verdict.span else None,
         "text": verdict.span.text if verdict.span else None,

@@ -29,31 +29,20 @@ class EvaluationRequest:
                 raise ValidationError(f"requirement {i + 1} is empty")
 
 
-def infer_verdict(model: ModelBundle, question: str, essay: str,
-                  paper_literal_threshold: bool = False,
-                  paper_literal_region: bool = False) -> Verdict:
+def infer_verdict(model: ModelBundle, question: str, essay: str) -> Verdict:
     """Run the full pipeline for one (question, essay) pair."""
     normalized = qnorm.normalize(question, model.rules)
     seq = seqbuild.assemble(normalized, essay, model.vocab,
                             max_len=min(model.config.max_len, seqbuild.MAX_INPUT_LEN))
     h_last = encode(seq, model.params, model.config)
     dist = heads.span_probabilities(h_last, model.params)
-    scores = heads.verify(
-        dist, h_last[0], model.params,
-        beta1=model.rv_beta1, beta2=model.rv_beta2, zeta=model.zeta,
-        paper_literal_threshold=paper_literal_threshold,
-    )
-    return locator.locate_response(dist, seq, scores, essay,
-                                   paper_literal_region=paper_literal_region)
+    scores = heads.verify(dist, h_last[0], model.params,
+                          beta1=model.rv_beta1, beta2=model.rv_beta2, zeta=model.zeta)
+    return locator.locate_response(dist, seq, scores, essay)
 
 
-def evaluate(request: EvaluationRequest,
-             paper_literal_threshold: bool = False,
-             paper_literal_region: bool = False) -> list[Verdict]:
+def evaluate(request: EvaluationRequest) -> list[Verdict]:
     """Verdicts for every requirement, in request order."""
     request.validate()
-    return [
-        infer_verdict(request.model, req, request.essay,
-                      paper_literal_threshold, paper_literal_region)
-        for req in request.requirements
-    ]
+    return [infer_verdict(request.model, req, request.essay)
+            for req in request.requirements]

@@ -301,8 +301,7 @@ def train_stage(params: dict[str, np.ndarray], corpus: list[QAExample],
     )
 
 
-def select_zeta(model: ModelBundle, dev: list[QAExample],
-                paper_literal_threshold: bool = False) -> float:
+def select_zeta(model: ModelBundle, dev: list[QAExample]) -> float:
     """Threshold maximizing answered/not-answered accuracy on a dev split.
 
     Candidates are midpoints between consecutive observed score_final values
@@ -313,8 +312,7 @@ def select_zeta(model: ModelBundle, dev: list[QAExample],
     golds: list[bool] = []
     for ex in dev:
         try:
-            verdict = infer_verdict(model, ex.question, ex.context,
-                                    paper_literal_threshold=paper_literal_threshold)
+            verdict = infer_verdict(model, ex.question, ex.context)
         except OversizedQuestionError:
             continue
         finals.append(verdict.scores.score_final)
@@ -329,8 +327,7 @@ def select_zeta(model: ModelBundle, dev: list[QAExample],
     ])
     best_zeta, best_acc = float(candidates[0]), -1.0
     for z in candidates:
-        answered = values > z if paper_literal_threshold else values <= z
-        acc = float(np.mean(answered == gold))
+        acc = float(np.mean((values <= z) == gold))
         if acc > best_acc:
             best_acc, best_zeta = acc, float(z)
     return best_zeta
@@ -359,8 +356,7 @@ class StageRunInfo:
 
 
 def run_stage(model: ModelBundle, stage: Stage, k: int, base_cfg: TrainConfig,
-              out_dir: str | None = None, paper_literal_threshold: bool = False,
-              ) -> tuple[ModelBundle, StageRunInfo]:
+              out_dir: str | None = None) -> tuple[ModelBundle, StageRunInfo]:
     """Train stage k (0-based) of a staged run and return the new model.
 
     The stage trains with seed base_cfg.seed + k unless it carries its own.
@@ -389,7 +385,7 @@ def run_stage(model: ModelBundle, stage: Stage, k: int, base_cfg: TrainConfig,
                          model.config, cfg)
     model = replace(model, params=result.params)
     if dev:
-        model.zeta = select_zeta(model, dev, paper_literal_threshold)
+        model.zeta = select_zeta(model, dev)
     path = None
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
@@ -407,15 +403,13 @@ def run_stage(model: ModelBundle, stage: Stage, k: int, base_cfg: TrainConfig,
 
 
 def multi_stage_train(model: ModelBundle, stages: list[Stage], base_cfg: TrainConfig,
-                      out_dir: str | None = None,
-                      paper_literal_threshold: bool = False,
-                      ) -> tuple[ModelBundle, list[StageRunInfo]]:
+                      out_dir: str | None = None) -> tuple[ModelBundle, list[StageRunInfo]]:
     """Run stages sequentially through ``run_stage``, threading parameters
     through; stage k seeds with base_cfg.seed + k."""
     if not stages:
         raise ValidationError("at least one stage is required")
     infos: list[StageRunInfo] = []
     for k, stage in enumerate(stages):
-        model, info = run_stage(model, stage, k, base_cfg, out_dir, paper_literal_threshold)
+        model, info = run_stage(model, stage, k, base_cfg, out_dir)
         infos.append(info)
     return model, infos

@@ -208,11 +208,6 @@ class TestRearVerification:
         _, answered = rear_verification(1.0, 1.0, beta1=1.0, beta2=1.0, zeta=0.5)
         assert answered is False
 
-    def test_paper_literal_flag_inverts(self):
-        _, answered = rear_verification(1.0, 1.0, beta1=1.0, beta2=1.0, zeta=0.5,
-                                        paper_literal_threshold=True)
-        assert answered is True
-
     @given(st.floats(-2, 2), st.floats(-5, 5), st.floats(0, 2), st.floats(-3, 3))
     @settings(max_examples=200, deadline=None)
     def test_monotone_in_score_ext(self, score_diff, score_ext, beta2, zeta):

@@ -57,8 +57,11 @@ class TestLocateResponse:
         assert verdict.span.text == ESSAY[first.char_start: last.char_end]
         assert verdict.span.text == "I will travel"
 
-    def test_question_region_argmax_rejected(self):
-        dist = dist_with_argmax(2, SEQ.essay_start_pos + 2, SEQ.tau)
+    # the first question token, the last question token (m+1) and [SEP] (m+2)
+    @pytest.mark.parametrize("start", [2, SEQ.m + 1, SEQ.m + 2],
+                             ids=["first-question-token", "last-question-token", "sep"])
+    def test_question_region_argmax_rejected(self, start):
+        dist = dist_with_argmax(start, SEQ.essay_start_pos + 2, SEQ.tau)
         verdict = locate_response(dist, SEQ, answered_scores(), ESSAY)
         assert not verdict.answered
         assert verdict.span is None
@@ -91,17 +94,6 @@ class TestLocateResponse:
         dist = dist_with_argmax(2, 3, SEQ.tau + 1)
         with pytest.raises(ValidationError):
             locate_response(dist, SEQ, answered_scores(), ESSAY)
-
-    def test_paper_literal_region_admits_m_plus_1(self):
-        # last question token as start: literal rule admits it, default rejects
-        dist = dist_with_argmax(SEQ.m + 1, SEQ.essay_start_pos + 1, SEQ.tau)
-        default = locate_response(dist, SEQ, answered_scores(), ESSAY)
-        literal = locate_response(dist, SEQ, answered_scores(), ESSAY,
-                                  paper_literal_region=True)
-        assert not default.answered
-        assert literal.answered
-        # extraction clamps to essay tokens
-        assert literal.span.char_start == SEQ.token_at(SEQ.essay_start_pos).char_start
 
 
 class TestSpanToChars:

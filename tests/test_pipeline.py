@@ -9,9 +9,9 @@ import pytest
 
 from essayqa import qnorm, seqbuild
 from essayqa.checkpoint import save_model
-from essayqa.corpus import save_sed_format
+from essayqa.corpus import QAExample, save_sed_format
 from essayqa.errors import ValidationError
-from essayqa.evalharness import PlanStage, evaluate_model
+from essayqa.evalharness import PlanStage, evaluate_model, predict_corpus
 from essayqa.model import new_model
 from essayqa.pipeline import EvaluationRequest, evaluate, infer_verdict
 from essayqa.seqbuild import Vocabulary, assemble, build_vocab
@@ -263,6 +263,49 @@ class TestCli:
         assert run_cli(["eval", "--pred", str(pred_file), "--gold", str(gold_file)]) == 0
         out = capsys.readouterr().out
         assert "accuracy:" in out and "mean overlap F1:" in out
+
+    def test_predict_corpus_leaves_essay_id_null(self, trained, tmp_path, capsys):
+        # a corpus record names no essay; ids like syn-domain-0-000004 must
+        # not be cut into a made-up essay_id shared across essays
+        _, ckpt, _ = trained
+        corpus = generate_synthetic(SyntheticConfig(count=6, seed=87))
+        assert len({ex.context for ex in corpus}) == 2
+        gold_file = tmp_path / "gold.jsonl"
+        save_sed_format(corpus, str(gold_file))
+        assert run_cli(["predict", "--model", ckpt, "--corpus", str(gold_file)]) == 0
+        records = [json.loads(line) for line in
+                   capsys.readouterr().out.strip().splitlines()]
+        assert [rec["question_id"] for rec in records] == [ex.example_id for ex in corpus]
+        assert [rec["essay_id"] for rec in records] == [None] * 6
+
+    def test_predict_oversized_question_has_no_score(self, trained, tmp_path, capsys):
+        model, ckpt, _ = trained
+        probe = generate_synthetic(SyntheticConfig(count=1, seed=88))[0]
+        huge = QAExample("huge", " ".join(["what"] * 600), probe.context, False, ())
+        verdicts = predict_corpus(model, [probe, huge])
+        assert verdicts["huge"].scores is None and not verdicts["huge"].answered
+        assert verdicts[probe.example_id].scores is not None
+
+        gold_file = tmp_path / "gold.jsonl"
+        save_sed_format([probe, huge], str(gold_file))
+        assert run_cli(["predict", "--model", ckpt, "--corpus", str(gold_file)]) == 0
+        records = [json.loads(line) for line in
+                   capsys.readouterr().out.strip().splitlines()]
+        assert records[1]["answered"] is False and records[1]["score_final"] is None
+        assert isinstance(records[0]["score_final"], float)
+        assert run_cli(["predict", "--model", ckpt, "--corpus", str(gold_file),
+                        "--pretty"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines[1] == "huge: not answered (score_final=n/a)"
+        assert "score_final=n/a" not in lines[0]
+
+    @pytest.mark.parametrize("flag", ["--paper-literal-threshold", "--paper-literal-region"])
+    def test_removed_verdict_flags_exit_2(self, trained, tmp_path, capsys, flag):
+        _, ckpt, _ = trained
+        gold_file = tmp_path / "gold.jsonl"
+        save_sed_format(generate_synthetic(SyntheticConfig(count=3, seed=89)), str(gold_file))
+        assert run_cli(["predict", "--model", ckpt, "--corpus", str(gold_file), flag]) == 2
+        assert capsys.readouterr().out == ""
 
     def test_train_subcommand_produces_usable_checkpoint(self, tmp_path, capsys):
         train_file = tmp_path / "train.jsonl"
