@@ -339,7 +339,9 @@ def _embed(ids: np.ndarray, params, cfg: EncoderConfig):
     t = ids.shape[-1]
     if t > cfg.max_len:
         raise ValidationError(f"sequence length {t} exceeds max_len={cfg.max_len}")
-    return params["tok_emb"][ids] + params["pos_emb"][:t]
+    # The tables may be float64 master arrays under a float32 serving config
+    # (pipeline.serving_model); only the looked-up rows are cast.
+    return (params["tok_emb"][ids] + params["pos_emb"][:t]).astype(cfg.np_dtype, copy=False)
 
 
 def forward_batch(ids: np.ndarray, params: dict[str, np.ndarray], cfg: EncoderConfig,

@@ -19,9 +19,9 @@ import numpy as np
 
 from .corpus import QAExample, load_any
 from .errors import OversizedQuestionError, PlanError, ValidationError
-from .locator import Verdict
+from .locator import OVERSIZED_QUESTION, Verdict
 from .model import ModelBundle, new_model
-from .pipeline import infer_verdict
+from .pipeline import infer_verdict, serving_model
 from .qnorm import split_words
 from .seqbuild import VOCAB_SIZE, Vocabulary, build_vocab, tokenize
 from .synthetic import SyntheticConfig, generate_synthetic
@@ -131,12 +131,14 @@ def evaluate_verdicts(verdicts: dict[str, Verdict], gold: list[QAExample],
 def predict_corpus(model: ModelBundle, examples: list[QAExample]) -> dict[str, Verdict]:
     """Verdict per example id; an oversized question yields a not-answered
     verdict without scores rather than aborting the run."""
+    model = serving_model(model)
     out: dict[str, Verdict] = {}
     for ex in examples:
         try:
             out[ex.example_id] = infer_verdict(model, ex.question, ex.context)
         except OversizedQuestionError:
-            out[ex.example_id] = Verdict(answered=False, scores=None)
+            out[ex.example_id] = Verdict(answered=False, scores=None,
+                                         reason=OVERSIZED_QUESTION)
     return out
 
 

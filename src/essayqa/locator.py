@@ -3,8 +3,9 @@
 A candidate span is the pair (argmax start, argmax end), ties broken toward
 the lowest position.  It is rejected -- question not responded -- when the
 verifier said "not answered", when either position lies outside the essay
-region, or when start > end.  Accepted spans are mapped back to character
-offsets in the original essay.
+region, or when start > end, in that order; the verdict's ``reason`` names
+the first rule that rejected it.  Accepted spans are mapped back to
+character offsets in the original essay.
 """
 
 from __future__ import annotations
@@ -27,18 +28,44 @@ class ResponseSpan:
     text: str
 
 
+# Verdict.reason: why a verdict came out as it did.  Every verdict has
+# exactly one; all but ANSWERED mean "not answered".
+ANSWERED = "answered"
+VERIFIER = "verifier"                      # score_final > zeta
+QUESTION_REGION = "question_region"        # start or end argmax before the essay
+START_AFTER_END = "start_after_end"        # start argmax past the end argmax
+OVERSIZED_QUESTION = "oversized_question"  # question too long to encode
+REASONS = (ANSWERED, VERIFIER, QUESTION_REGION, START_AFTER_END, OVERSIZED_QUESTION)
+
+
 @dataclass(frozen=True)
 class Verdict:
     answered: bool
     scores: ScoreBundle | None  # None only for a question too long to encode
     token_span: tuple[int, int] | None = None  # 1-indexed positions in T
     span: ResponseSpan | None = None
+    # One of REASONS; None works it out where the other fields decide it
+    # (answered, the verifier's rejection, no scores).
+    reason: str | None = None
 
     def __post_init__(self):
         if self.answered and self.span is None:
             raise ValidationError("answered verdict must carry a span")
         if not self.answered and self.span is not None:
             raise ValidationError("not-answered verdict must not carry a span")
+        implied = (ANSWERED if self.answered
+                   else OVERSIZED_QUESTION if self.scores is None
+                   else VERIFIER if not self.scores.answered
+                   else None)
+        if implied is None:  # the verifier accepted, so a locator rule rejected
+            if self.reason not in (QUESTION_REGION, START_AFTER_END):
+                raise ValidationError(f"a verdict the locator rejected needs the rule "
+                                      f"as its reason, not {self.reason!r}")
+        elif self.reason is None:
+            object.__setattr__(self, "reason", implied)
+        elif self.reason != implied:
+            raise ValidationError(f"reason {self.reason!r} contradicts the verdict "
+                                  f"({implied!r})")
 
 
 def span_to_chars(token_span: tuple[int, int], seq: InputSequence, essay: str) -> ResponseSpan:
@@ -68,30 +95,32 @@ def locate_response(dist: SpanDistributions, seq: InputSequence, scores: ScoreBu
         raise ValidationError(f"distribution length {dist.tau} != sequence tau {seq.tau}")
     start_pos = int(np.argmax(dist.prob_start)) + 1
     end_pos = int(np.argmax(dist.prob_end)) + 1
-    not_answered = Verdict(answered=False, scores=scores,
-                           token_span=(start_pos, end_pos), span=None)
     if not scores.answered:
-        return not_answered
-    if min(start_pos, end_pos) < seq.essay_start_pos:
-        return not_answered
-    if start_pos > end_pos:
-        return not_answered
-
-    span = span_to_chars((start_pos, end_pos), seq, essay)
-    return Verdict(answered=True, scores=scores, token_span=(start_pos, end_pos), span=span)
+        reason = VERIFIER
+    elif min(start_pos, end_pos) < seq.essay_start_pos:
+        reason = QUESTION_REGION
+    elif start_pos > end_pos:
+        reason = START_AFTER_END
+    else:
+        span = span_to_chars((start_pos, end_pos), seq, essay)
+        return Verdict(answered=True, scores=scores, token_span=(start_pos, end_pos),
+                       span=span, reason=ANSWERED)
+    return Verdict(answered=False, scores=scores, token_span=(start_pos, end_pos),
+                   reason=reason)
 
 
 # ------------------------------------------------------- verdict records
 
 
 def verdict_to_record(verdict: Verdict, question_id: str, essay_id: str | None) -> dict:
-    """Line-record form: {question_id, essay_id, answered, score_final,
+    """Line-record form: {question_id, essay_id, answered, reason, score_final,
     char_start, char_end, text} with null span fields when not answered and
     a null score_final when the verdict has no scores."""
     return {
         "question_id": question_id,
         "essay_id": essay_id,
         "answered": verdict.answered,
+        "reason": verdict.reason,
         "score_final": verdict.scores.score_final if verdict.scores is not None else None,
         "char_start": verdict.span.char_start if verdict.span else None,
         "char_end": verdict.span.char_end if verdict.span else None,

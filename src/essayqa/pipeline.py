@@ -1,10 +1,15 @@
 """End-to-end evaluation of an essay against its requirement questions:
 normalize each question, assemble the input sequence, encode, verify, and
-locate the responding span."""
+locate the responding span.
+
+Every verdict is computed in float32.  A float64 model is the master copy
+that training updates and checkpoints store; ``serving_model`` gives the
+float32 copy its verdicts are served from, and the master is never changed.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import heads, locator, qnorm, seqbuild
 from .encoder import encode
@@ -29,8 +34,29 @@ class EvaluationRequest:
                 raise ValidationError(f"requirement {i + 1} is empty")
 
 
+_SERVING_DTYPE = "float32"
+# Left at the master dtype: encoder._embed casts only the rows it looks up,
+# which is cheaper than casting a whole vocab_size x d_model table per call.
+_EMBEDDING_TABLES = ("tok_emb", "pos_emb")
+
+
+def serving_model(model: ModelBundle) -> ModelBundle:
+    """The model verdicts are computed with: a float32 model itself, or a
+    float32 copy of a float64 model's layer and head tensors."""
+    if model.config.dtype == _SERVING_DTYPE:
+        return model
+    params = {name: arr if name in _EMBEDDING_TABLES else arr.astype(_SERVING_DTYPE)
+              for name, arr in model.params.items()}
+    return replace(model, config=replace(model.config, dtype=_SERVING_DTYPE), params=params)
+
+
 def infer_verdict(model: ModelBundle, question: str, essay: str) -> Verdict:
-    """Run the full pipeline for one (question, essay) pair."""
+    """Run the full pipeline for one (question, essay) pair, in float32.
+
+    Callers that serve many verdicts pass ``serving_model(model)`` so a
+    float64 model is copied once, not once per verdict.
+    """
+    model = serving_model(model)
     normalized = qnorm.normalize(question, model.rules)
     seq = seqbuild.assemble(normalized, essay, model.vocab,
                             max_len=min(model.config.max_len, seqbuild.MAX_INPUT_LEN))
@@ -44,5 +70,5 @@ def infer_verdict(model: ModelBundle, question: str, essay: str) -> Verdict:
 def evaluate(request: EvaluationRequest) -> list[Verdict]:
     """Verdicts for every requirement, in request order."""
     request.validate()
-    return [infer_verdict(request.model, req, request.essay)
-            for req in request.requirements]
+    model = serving_model(request.model)
+    return [infer_verdict(model, req, request.essay) for req in request.requirements]

@@ -33,7 +33,7 @@ from .encoder import EncoderConfig, backward_batch, forward_batch, pad_ids, soft
 from .errors import EssayQAError, OversizedQuestionError, ValidationError
 from .heads import log_softmax_positions, span_logits, verifier_logits
 from .model import ModelBundle
-from .pipeline import infer_verdict
+from .pipeline import infer_verdict, serving_model
 from .qnorm import RewriteRuleSet, normalize
 from .seqbuild import MAX_INPUT_LEN, Vocabulary, assemble
 
@@ -307,12 +307,14 @@ def select_zeta(model: ModelBundle, dev: list[QAExample]) -> float:
     Candidates are midpoints between consecutive observed score_final values
     plus sentinels beyond both extremes; ties break toward the smallest
     threshold.  With no usable dev examples the model's current zeta wins.
+    The finals are the served ones, computed in float32 like every verdict.
     """
+    served = serving_model(model)
     finals: list[float] = []
     golds: list[bool] = []
     for ex in dev:
         try:
-            verdict = infer_verdict(model, ex.question, ex.context)
+            verdict = infer_verdict(served, ex.question, ex.context)
         except OversizedQuestionError:
             continue
         finals.append(verdict.scores.score_final)

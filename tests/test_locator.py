@@ -4,9 +4,13 @@ span-presence invariant under fuzzing."""
 import numpy as np
 import pytest
 
+from essayqa.corpus import QAExample
 from essayqa.errors import ValidationError
+from essayqa.evalharness import predict_corpus
 from essayqa.heads import ScoreBundle, SpanDistributions
 from essayqa.locator import (
+    REASONS,
+    ResponseSpan,
     Verdict,
     locate_response,
     read_verdict_records,
@@ -14,6 +18,7 @@ from essayqa.locator import (
     verdict_to_record,
     write_verdict_records,
 )
+from essayqa.model import new_model
 from essayqa.seqbuild import assemble, build_vocab
 
 RNG = np.random.default_rng(42)
@@ -137,8 +142,6 @@ class TestVerdictInvariants:
             Verdict(answered=True, scores=answered_scores(), span=None)
 
     def test_not_answered_forbids_span(self):
-        from essayqa.locator import ResponseSpan
-
         with pytest.raises(ValidationError):
             Verdict(answered=False, scores=rejected_scores(),
                     span=ResponseSpan(0, 1, "I"))
@@ -152,6 +155,8 @@ class TestVerdictInvariants:
             scores = answered_scores() if rng.random() < 0.7 else rejected_scores()
             verdict = locate_response(dist, SEQ, scores, ESSAY)
             assert (verdict.span is not None) == verdict.answered
+            assert verdict.reason in REASONS
+            assert (verdict.reason == "answered") == verdict.answered
             if verdict.answered:
                 assert verdict.token_span[0] >= SEQ.essay_start_pos
                 assert verdict.token_span[1] >= verdict.token_span[0]
@@ -159,6 +164,61 @@ class TestVerdictInvariants:
                                                   verdict.span.char_end]
             if not scores.answered:
                 assert not verdict.answered
+
+
+class TestVerdictReason:
+    """One hand-built verdict per reason, each from the code path that sets it."""
+
+    def test_answered(self):
+        dist = dist_with_argmax(SEQ.essay_start_pos, SEQ.essay_start_pos + 1, SEQ.tau)
+        verdict = locate_response(dist, SEQ, answered_scores(), ESSAY)
+        assert verdict.answered and verdict.reason == "answered"
+
+    def test_verifier(self):
+        # the span would be valid: the verifier alone decides
+        dist = dist_with_argmax(SEQ.essay_start_pos, SEQ.essay_start_pos + 1, SEQ.tau)
+        verdict = locate_response(dist, SEQ, rejected_scores(), ESSAY)
+        assert not verdict.answered and verdict.reason == "verifier"
+
+    def test_question_region(self):
+        dist = dist_with_argmax(SEQ.m + 2, SEQ.essay_start_pos + 1, SEQ.tau)
+        verdict = locate_response(dist, SEQ, answered_scores(), ESSAY)
+        assert not verdict.answered and verdict.reason == "question_region"
+
+    def test_start_after_end(self):
+        dist = dist_with_argmax(SEQ.essay_start_pos + 3, SEQ.essay_start_pos, SEQ.tau)
+        verdict = locate_response(dist, SEQ, answered_scores(), ESSAY)
+        assert not verdict.answered and verdict.reason == "start_after_end"
+
+    def test_oversized_question(self):
+        model = new_model(VOCAB, layers=1, d_model=8, heads=2, ffn_inner=8, max_len=16)
+        huge = QAExample("huge", " ".join(["what"] * 20), ESSAY, False, ())
+        verdict = predict_corpus(model, [huge])["huge"]
+        assert verdict.scores is None and verdict.reason == "oversized_question"
+
+    def test_region_wins_over_order(self):
+        # start after end *and* in the question region: the region rule is first
+        dist = dist_with_argmax(SEQ.essay_start_pos + 1, 2, SEQ.tau)
+        assert locate_response(dist, SEQ, answered_scores(), ESSAY).reason == "question_region"
+
+    def test_reason_implied_where_the_fields_decide(self):
+        span = ResponseSpan(0, 1, "I")
+        assert Verdict(answered=True, scores=answered_scores(), span=span).reason == "answered"
+        assert Verdict(answered=False, scores=rejected_scores()).reason == "verifier"
+        assert Verdict(answered=False, scores=None).reason == "oversized_question"
+
+    @pytest.mark.parametrize("scores, reason", [
+        ("answered", None),             # a locator rejection must name its rule
+        ("answered", "verifier"),       # the verifier accepted
+        ("rejected", "question_region"),  # the verifier rejected first
+        (None, "verifier"),             # no scores: the question was too long
+        ("answered", "no_essay_token"),
+    ])
+    def test_contradicting_reason_rejected(self, scores, reason):
+        bundle = {"answered": answered_scores(), "rejected": rejected_scores(),
+                  None: None}[scores]
+        with pytest.raises(ValidationError):
+            Verdict(answered=False, scores=bundle, reason=reason)
 
 
 class TestVerdictRecords:
@@ -178,5 +238,6 @@ class TestVerdictRecords:
         assert loaded[0]["answered"] is True
         assert loaded[0]["text"] == verdicts[0].span.text
         assert loaded[1]["text"] is None
-        assert set(loaded[0]) == {"question_id", "essay_id", "answered",
+        assert set(loaded[0]) == {"question_id", "essay_id", "answered", "reason",
                                   "score_final", "char_start", "char_end", "text"}
+        assert [rec["reason"] for rec in loaded] == ["answered", "verifier"]

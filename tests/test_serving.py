@@ -1,0 +1,190 @@
+"""Serving precision: every verdict is computed in float32, from a float32
+copy of a float64 model's layer and head tensors, and the float64 master
+model is never changed."""
+
+import json
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from essayqa import evalharness, heads, pipeline, qnorm, train
+from essayqa.checkpoint import save_model
+from essayqa.cli import cli_main
+from essayqa.corpus import save_sed_format
+from essayqa.encoder import encode
+from essayqa.evalharness import predict_corpus
+from essayqa.locator import locate_response
+from essayqa.model import new_model
+from essayqa.pipeline import EvaluationRequest, evaluate, infer_verdict, serving_model
+from essayqa.seqbuild import assemble, build_vocab
+from essayqa.synthetic import SyntheticConfig, generate_synthetic
+from essayqa.train import select_zeta
+
+EXAMPLES = generate_synthetic(SyntheticConfig(count=12, answerable_ratio=0.6, seed=404))
+VOCAB = build_vocab([t for ex in EXAMPLES for t in (ex.question, ex.context)], size=600)
+
+
+def small_model(dtype: str):
+    model = new_model(VOCAB, layers=2, d_model=16, heads=2, ffn_inner=32, seed=9,
+                      dtype=dtype)
+    # a zeta inside the score range, so both verdicts occur
+    model.zeta = float(np.median([infer_verdict(model, ex.question, ex.context)
+                                  .scores.score_final for ex in EXAMPLES]))
+    return model
+
+
+def composed_verdict(model, ex):
+    """The pipeline's stages composed by hand on the model's own tensors."""
+    normalized = qnorm.normalize(ex.question, model.rules)
+    seq = assemble(normalized, ex.context, model.vocab, max_len=model.config.max_len)
+    h = encode(seq, model.params, model.config)
+    dist = heads.span_probabilities(h, model.params)
+    scores = heads.verify(dist, h[0], model.params, beta1=model.rv_beta1,
+                          beta2=model.rv_beta2, zeta=model.zeta)
+    return locate_response(dist, seq, scores, ex.context)
+
+
+class TestServingCopy:
+    def test_float32_model_is_served_as_it_is(self):
+        model = small_model("float32")
+        assert serving_model(model) is model
+
+    def test_float32_model_verdicts_unchanged(self):
+        model = small_model("float32")
+        for ex in EXAMPLES:
+            assert infer_verdict(model, ex.question, ex.context) == composed_verdict(model, ex)
+
+    def test_float64_copy_is_float32_but_shares_the_embedding_tables(self):
+        model = small_model("float64")
+        served = serving_model(model)
+        assert served is not model and served.config.dtype == "float32"
+        assert served.config == replace(model.config, dtype="float32")
+        assert (served.vocab, served.rules, served.zeta) == (model.vocab, model.rules,
+                                                             model.zeta)
+        assert list(served.params) == list(model.params)
+        for name, arr in served.params.items():
+            if name in ("tok_emb", "pos_emb"):
+                assert arr is model.params[name]
+            else:
+                assert arr.dtype == np.float32
+                assert np.array_equal(arr, model.params[name].astype(np.float32)), name
+
+
+class TestNoSilentPromotion:
+    """One float64 table or head weight left in the math would quietly turn
+    the serving path back into float64."""
+
+    def test_hidden_states_span_probabilities_and_verifier_logits_are_float32(
+            self, monkeypatch):
+        seen: dict[str, set] = {"encode": set(), "span": set(), "verifier": set()}
+
+        def spy(key, fn, dtype_of):
+            def wrapped(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                seen[key].add(dtype_of(out))
+                return out
+            return wrapped
+
+        monkeypatch.setattr(pipeline, "encode", spy("encode", pipeline.encode, lambda h: h.dtype))
+        monkeypatch.setattr(heads, "span_probabilities",
+                            spy("span", heads.span_probabilities,
+                                lambda d: (d.prob_start.dtype, d.prob_end.dtype)))
+        monkeypatch.setattr(heads, "verifier_logits",
+                            spy("verifier", heads.verifier_logits, lambda x: x.dtype))
+        model = small_model("float64")
+        ex = EXAMPLES[0]
+        infer_verdict(model, ex.question, ex.context)
+        evaluate(EvaluationRequest(essay=ex.context, requirements=(ex.question,), model=model))
+        predict_corpus(model, EXAMPLES[:3])
+        select_zeta(model, EXAMPLES[:3])
+        f32 = np.dtype(np.float32)
+        assert seen == {"encode": {f32}, "span": {(f32, f32)}, "verifier": {f32}}
+
+
+class TestOneServingPrecision:
+    def test_every_path_gives_the_same_score_final(self, monkeypatch, tmp_path, capsys):
+        model = small_model("float64")
+        finals: dict[str, list[float]] = {}
+
+        def record(verdicts):
+            return [v.scores.score_final for v in verdicts]
+
+        finals["infer_verdict"] = record(infer_verdict(model, ex.question, ex.context)
+                                         for ex in EXAMPLES)
+        finals["evaluate"] = [
+            evaluate(EvaluationRequest(essay=ex.context, requirements=(ex.question,),
+                                       model=model))[0].scores.score_final
+            for ex in EXAMPLES]
+        by_id = predict_corpus(model, EXAMPLES)
+        finals["predict_corpus"] = record(by_id[ex.example_id] for ex in EXAMPLES)
+
+        ckpt, corpus_file = tmp_path / "m.ckpt", tmp_path / "c.jsonl"
+        save_model(model, str(ckpt))
+        save_sed_format(EXAMPLES, str(corpus_file))
+        assert cli_main(["predict", "--model", str(ckpt), "--corpus", str(corpus_file)]) == 0
+        finals["cli"] = [json.loads(line)["score_final"]
+                         for line in capsys.readouterr().out.splitlines()]
+
+        inside: list[float] = []
+        original = train.infer_verdict
+
+        def capture(*args):
+            verdict = original(*args)
+            inside.append(verdict.scores.score_final)
+            return verdict
+
+        monkeypatch.setattr(train, "infer_verdict", capture)
+        select_zeta(model, EXAMPLES)
+        finals["select_zeta"] = inside
+
+        want = finals["infer_verdict"]
+        assert len(set(want)) > 1
+        for path, got in finals.items():
+            assert got == want, path
+
+    def test_master_weights_untouched(self, tmp_path):
+        model = small_model("float64")
+        params = model.params
+        arrays = dict(params)
+        copies = {name: arr.copy() for name, arr in params.items()}
+        before, after = tmp_path / "before.ckpt", tmp_path / "after.ckpt"
+        save_model(model, str(before))
+
+        ex = EXAMPLES[0]
+        infer_verdict(model, ex.question, ex.context)
+        evaluate(EvaluationRequest(essay=ex.context, requirements=(ex.question,), model=model))
+        predict_corpus(model, EXAMPLES)
+        select_zeta(model, EXAMPLES)
+
+        assert model.params is params and model.config.dtype == "float64"
+        assert list(params) == list(copies)
+        for name, arr in params.items():
+            assert arr is arrays[name] and arr.dtype == np.float64, name
+            assert np.array_equal(arr, copies[name]), name
+        save_model(model, str(after))
+        assert after.read_bytes() == before.read_bytes()
+
+    @pytest.mark.parametrize("call", ["evaluate", "predict_corpus", "select_zeta"])
+    def test_one_copy_per_call(self, monkeypatch, call):
+        model = small_model("float64")
+        copies = []
+        original = pipeline.serving_model
+
+        def counting(model):
+            served = original(model)
+            if served is not model:
+                copies.append(model)
+            return served
+
+        for module in (pipeline, evalharness, train):
+            monkeypatch.setattr(module, "serving_model", counting)
+        if call == "evaluate":
+            essay = EXAMPLES[0].context
+            evaluate(EvaluationRequest(essay=essay, model=model,
+                                       requirements=tuple(ex.question for ex in EXAMPLES[:3])))
+        elif call == "predict_corpus":
+            predict_corpus(model, EXAMPLES)
+        else:
+            select_zeta(model, EXAMPLES)
+        assert copies == [model]
