@@ -2,8 +2,8 @@
 
 The loss per example is
 
-    w_span * (NLL of gold start + NLL of gold end) / 2
-  + w_verifier * cross-entropy of the front-verifier logits
+    (NLL of gold start + NLL of gold end) / 2
+  + cross-entropy of the front-verifier logits
 
 where unanswerable examples target the [CLS] position (1, 1) for both span
 ends.  Gradients are fully analytic; optimization is adaptive moment
@@ -45,6 +45,11 @@ logger = logging.getLogger(__name__)
 # and parts of 1 were slower than parts of 4.
 _SUB_BATCH = 4
 
+# Adam's moment decay rates and denominator guard (the usual values).
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -52,11 +57,6 @@ class TrainConfig:
     learning_rate: float = 1e-3
     batch_size: int = 16
     seed: int = 0
-    w_span: float = 1.0
-    w_verifier: float = 1.0
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     warmup_steps: int = 0
     max_steps: int | None = None
 
@@ -137,8 +137,7 @@ def length_sorted_parts(batch: list[TrainingExample]) -> list[list[TrainingExamp
 
 
 def loss_and_grads(params: dict[str, np.ndarray], cfg: EncoderConfig,
-                   batch: list[TrainingExample], pad_id: int,
-                   w_span: float = 1.0, w_verifier: float = 1.0):
+                   batch: list[TrainingExample], pad_id: int):
     """Mean loss over the batch and analytic gradients for every tensor,
     summed over ``length_sorted_parts(batch)``."""
     if not batch:
@@ -146,8 +145,7 @@ def loss_and_grads(params: dict[str, np.ndarray], cfg: EncoderConfig,
     loss = 0.0
     grads: dict[str, np.ndarray] = {}
     for part in length_sorted_parts(batch):
-        part_loss, part_grads = _part_loss_and_grads(params, cfg, part, len(batch), pad_id,
-                                                     w_span, w_verifier)
+        part_loss, part_grads = _part_loss_and_grads(params, cfg, part, len(batch), pad_id)
         loss += part_loss
         for name, g in part_grads.items():
             if name in grads:
@@ -158,8 +156,7 @@ def loss_and_grads(params: dict[str, np.ndarray], cfg: EncoderConfig,
 
 
 def _part_loss_and_grads(params: dict[str, np.ndarray], cfg: EncoderConfig,
-                         part: list[TrainingExample], n: int, pad_id: int,
-                         w_span: float, w_verifier: float):
+                         part: list[TrainingExample], n: int, pad_id: int):
     """The part's share of the mean loss over a batch of n examples, and its
     gradients, from one padded encoder forward and backward."""
     ids, mask = pad_ids([np.asarray(ex.ids, dtype=np.int64) for ex in part], pad_id)
@@ -179,18 +176,18 @@ def _part_loss_and_grads(params: dict[str, np.ndarray], cfg: EncoderConfig,
     targets = np.array([0 if ex.answerable else 1 for ex in part])
     ce = -np.log(v_prob[rows, targets])
 
-    loss = float(np.sum(w_span * span_nll + w_verifier * ce) / n)
+    loss = float(np.sum(span_nll + ce) / n)
 
     # Backward: d loss / d logits for both heads, then one encoder backward.
     d_start = prob_s.copy()
     d_start[rows, gs] -= 1.0
-    d_start *= w_span / (2.0 * n)
+    d_start *= 0.5 / n
     d_end = prob_e.copy()
     d_end[rows, ge] -= 1.0
-    d_end *= w_span / (2.0 * n)
+    d_end *= 0.5 / n
     d_v = v_prob.copy()
     d_v[rows, targets] -= 1.0
-    d_v *= w_verifier / n
+    d_v *= 1.0 / n
 
     grads: dict[str, np.ndarray] = {
         "span.w_start": np.einsum("bt,btd->d", d_start, h),
@@ -216,13 +213,11 @@ def _divergence_cause(params: dict[str, np.ndarray]) -> str:
 
 
 class Adam:
-    """Adaptive moment estimation with bias correction; update order follows
-    the gradient dict's insertion order for a fixed reduction order."""
+    """Adaptive moment estimation with bias correction and the ``ADAM_*``
+    constants; update order follows the gradient dict's insertion order for a
+    fixed reduction order."""
 
-    def __init__(self, params: dict[str, np.ndarray], cfg: TrainConfig):
-        self.beta1 = cfg.adam_beta1
-        self.beta2 = cfg.adam_beta2
-        self.eps = cfg.adam_eps
+    def __init__(self, params: dict[str, np.ndarray]):
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
         self.t = 0
@@ -230,14 +225,14 @@ class Adam:
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
              lr: float) -> None:
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
+        bc1 = 1.0 - ADAM_BETA1 ** self.t
+        bc2 = 1.0 - ADAM_BETA2 ** self.t
         for name in params:
             g = grads[name]
-            self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * g * g
+            self.m[name] = ADAM_BETA1 * self.m[name] + (1.0 - ADAM_BETA1) * g
+            self.v[name] = ADAM_BETA2 * self.v[name] + (1.0 - ADAM_BETA2) * g * g
             params[name] = params[name] - lr * (self.m[name] / bc1) / (
-                np.sqrt(self.v[name] / bc2) + self.eps
+                np.sqrt(self.v[name] / bc2) + ADAM_EPS
             )
 
 
@@ -261,7 +256,7 @@ def train_stage(params: dict[str, np.ndarray], corpus: list[QAExample],
     if not examples:
         raise ValidationError("no trainable examples in corpus")
     params = {k: v.copy() for k, v in params.items()}
-    opt = Adam(params, cfg)
+    opt = Adam(params)
     rng = np.random.default_rng(cfg.seed)
     step_losses: list[float] = []
     curve: list[float] = []
@@ -272,8 +267,7 @@ def train_stage(params: dict[str, np.ndarray], corpus: list[QAExample],
         epoch_losses: list[float] = []
         for lo in range(0, len(examples), cfg.batch_size):
             batch = [examples[int(i)] for i in order[lo: lo + cfg.batch_size]]
-            loss, grads = loss_and_grads(params, enc_cfg, batch, vocab.pad_id,
-                                         cfg.w_span, cfg.w_verifier)
+            loss, grads = loss_and_grads(params, enc_cfg, batch, vocab.pad_id)
             if not np.isfinite(loss):
                 raise EssayQAError(f"training diverged at step {step}: loss={loss}; "
                                    f"{_divergence_cause(params)}")

@@ -73,8 +73,7 @@ def brute_force_tav(prob_start, prob_end):
     return score_has, score_null, score_null - score_has
 
 
-def ref_example_loss(prob_start, prob_end, verifier_logits, gold,
-                     w_span=1.0, w_verifier=1.0):
+def ref_example_loss(prob_start, prob_end, verifier_logits, gold):
     """Training loss of one example: the mean negative log of the gold start
     and end probabilities (1-indexed positions on ``gold``), plus the
     cross-entropy of the (logit_ans, logit_na) verifier pair against
@@ -86,7 +85,7 @@ def ref_example_loss(prob_start, prob_end, verifier_logits, gold,
     log_z = float(np.logaddexp(logit_ans, logit_na))
     target_logit = logit_ans if gold.answerable else logit_na
     verifier_ce = log_z - target_logit
-    return w_span * span_nll + w_verifier * verifier_ce
+    return span_nll + verifier_ce
 
 
 def finite_difference_grad(loss_fn, params, name, h=1e-5):

@@ -70,13 +70,6 @@ class TestGradientCheck:
         cfg, params = tiny_setup()
         check_all_tensors(cfg, params, tiny_batch()[:1])
 
-    def test_loss_weights_scale_gradients(self):
-        cfg, params = tiny_setup()
-        batch = tiny_batch()
-        _, g1 = loss_and_grads(params, cfg, batch, pad_id=3, w_span=1.0, w_verifier=0.0)
-        _, g2 = loss_and_grads(params, cfg, batch, pad_id=3, w_span=2.0, w_verifier=0.0)
-        assert np.allclose(2.0 * g1["span.w_start"], g2["span.w_start"])
-
 
 class TestLossValues:
     def test_concentrated_probabilities_give_near_zero_loss(self):

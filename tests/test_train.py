@@ -380,7 +380,7 @@ class TestDtype:
                                   pad_id=model.vocab.pad_id)
         assert {k: g.dtype for k, g in grads.items()} == {k: want for k in model.params}
         params = dict(model.params)
-        Adam(params, TrainConfig()).step(params, grads, lr=1e-3)
+        Adam(params).step(params, grads, lr=1e-3)
         assert {k: v.dtype for k, v in params.items()} == {k: want for k in params}
         path = tmp_path / "m.ckpt"
         save_model(replace(model, params=params), str(path))
