@@ -16,7 +16,7 @@ from . import corpus as corpus_mod
 from . import evalharness, qnorm, synthetic
 from .checkpoint import load_model, save_model
 from .encoder import DTYPES, EncoderConfig
-from .errors import EssayQAError
+from .errors import EssayQAError, read_text
 from .locator import read_verdict_records, verdict_to_record, write_verdict_records
 from .model import ModelBundle, new_model
 from .pipeline import EvaluationRequest, evaluate
@@ -34,8 +34,9 @@ def _rules_from_args(args) -> qnorm.RewriteRuleSet:
 
 def _cmd_normalize(args) -> int:
     rules = _rules_from_args(args)
-    with open(args.infile, encoding="utf-8") as fh:
-        questions = [line.rstrip("\n") for line in fh]
+    questions = read_text(args.infile).split("\n")
+    if questions[-1] == "":
+        questions.pop()  # the newline ending the last line starts no question
     for q in questions:
         print(qnorm.normalize(q, rules).normalized)
     return 0
@@ -49,8 +50,7 @@ def _cmd_build_vocab(args) -> int:
                 texts.append(ex.question)
                 texts.append(ex.context)
         else:
-            with open(path, encoding="utf-8") as fh:
-                texts.append(fh.read())
+            texts.append(read_text(path))
     vocab = build_vocab(texts, size=args.size)
     vocab.save(args.out)
     print(f"wrote {len(vocab)} terms to {args.out}")
@@ -150,10 +150,10 @@ def _cmd_eval(args) -> int:
     gold = corpus_mod.load_any(args.gold)
     predictions: dict[str, str | None] = {}
     for rec in read_verdict_records(args.pred):
-        qid = str(rec.get("question_id"))
+        qid, text = rec["question_id"], rec["text"]
         if qid in predictions:
             raise EssayQAError(f"record {qid}: question_id appears more than once")
-        answered, text = rec.get("answered"), rec.get("text")
+        answered = rec.get("answered")
         if not isinstance(answered, bool) or answered != (text is not None):
             raise EssayQAError(f"record {qid}: 'answered' must be true exactly when "
                                f"'text' is given (answered={answered!r}, text={text!r})")
@@ -201,10 +201,9 @@ def _cmd_predict(args) -> int:
     else:
         if not args.essay or not args.requirements:
             raise EssayQAError("predict needs --corpus, or --essay with --requirements")
-        with open(args.essay, encoding="utf-8") as fh:
-            essay = fh.read()
-        with open(args.requirements, encoding="utf-8") as fh:
-            requirements = [line.strip() for line in fh if line.strip()]
+        essay = read_text(args.essay)
+        requirements = [line.strip() for line in read_text(args.requirements).split("\n")
+                        if line.strip()]
         request = EvaluationRequest(essay=essay, requirements=tuple(requirements),
                                     model=model)
         verdicts = evaluate(request)

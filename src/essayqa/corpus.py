@@ -17,11 +17,11 @@ import json
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .errors import ValidationError
+from .errors import ValidationError, read_text
 
 HISTOGRAM_BIN_WIDTH = 5  # characters per answer-length bin
 
-_JSON_TYPE_NAMES = {str: "string", bool: "boolean"}
+_JSON_TYPE_NAMES = {str: "string", bool: "boolean", type(None): "null"}
 
 
 @dataclass(frozen=True)
@@ -68,22 +68,22 @@ class CorpusStats:
         return sum(count for _, _, count in self.answer_length_histogram)
 
 
-def _typed(obj: dict, key: str, kind: type, default=None):
+def typed_field(obj: dict, key: str, kind: type | tuple[type, ...], default=None):
     """``obj[key]``, or ``default`` when given and the key is absent; the value
-    must be a JSON value of ``kind``.  KeyError when missing, TypeError when
-    mistyped."""
+    must be a JSON value of ``kind`` (a type or a tuple of types).  KeyError
+    when missing, TypeError when mistyped."""
     value = obj[key] if default is None else obj.get(key, default)
     if not isinstance(value, kind):
-        raise TypeError(f"field '{key}' must be a JSON {_JSON_TYPE_NAMES[kind]}, "
-                        f"not {json.dumps(value)}")
+        kinds = kind if isinstance(kind, tuple) else (kind,)
+        names = " or ".join(_JSON_TYPE_NAMES[k] for k in kinds)
+        raise TypeError(f"field '{key}' must be a JSON {names}, not {json.dumps(value)}")
     return value
 
 
 def load_squad(path: str) -> list[QAExample]:
     """Flatten a SQuAD 2.0 file into one example per question."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
+        payload = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: not valid JSON: {exc}") from exc
     examples: list[QAExample] = []
@@ -94,17 +94,17 @@ def load_squad(path: str) -> list[QAExample]:
     try:
         for article in articles:
             for para in article.get("paragraphs", []):
-                context = _typed(para, "context", str)
+                context = typed_field(para, "context", str)
                 for qa in para["qas"]:
-                    is_impossible = _typed(qa, "is_impossible", bool, False)
+                    is_impossible = typed_field(qa, "is_impossible", bool, False)
                     answers = () if is_impossible else tuple(
-                        GoldAnswer(text=_typed(a, "text", str),
+                        GoldAnswer(text=typed_field(a, "text", str),
                                    char_start=int(a["answer_start"]))
                         for a in qa.get("answers", [])
                     )
                     ex = QAExample(
                         example_id=str(qa["id"]),
-                        question=_typed(qa, "question", str),
+                        question=typed_field(qa, "question", str),
                         context=context,
                         answerable=not is_impossible,
                         gold_answers=answers,
@@ -120,21 +120,25 @@ def load_squad(path: str) -> list[QAExample]:
 
 def read_json_lines(path: str) -> Iterator[tuple[int, dict]]:
     """(line number, object) for each non-blank line of a JSON-lines file;
-    a line that is not a JSON object raises ValidationError naming path and
-    line."""
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"{path}:{lineno}: bad record: {exc}") from exc
-            if not isinstance(obj, dict):
-                raise ValidationError(f"{path}:{lineno}: record is a JSON "
-                                      f"{type(obj).__name__}, not an object")
-            yield lineno, obj
+    a line that is not UTF-8 or not a JSON object raises ValidationError
+    naming path and line.  Lines split where text mode splits them."""
+    with open(path, "rb") as fh:
+        raw_lines = fh.read().splitlines()
+    for lineno, raw in enumerate(raw_lines, start=1):
+        try:
+            line = raw.decode("utf-8").strip()
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{path}:{lineno}: not UTF-8 text ({exc.reason})") from exc
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"{path}:{lineno}: bad record: {exc}") from exc
+        if not isinstance(obj, dict):
+            raise ValidationError(f"{path}:{lineno}: record is a JSON "
+                                  f"{type(obj).__name__}, not an object")
+        yield lineno, obj
 
 
 def load_sed_format(path: str) -> list[QAExample]:
@@ -144,11 +148,11 @@ def load_sed_format(path: str) -> list[QAExample]:
         try:
             ex = QAExample(
                 example_id=str(obj["example_id"]),
-                question=_typed(obj, "question", str),
-                context=_typed(obj, "context", str),
-                answerable=_typed(obj, "answerable", bool),
+                question=typed_field(obj, "question", str),
+                context=typed_field(obj, "context", str),
+                answerable=typed_field(obj, "answerable", bool),
                 gold_answers=tuple(
-                    GoldAnswer(text=_typed(a, "text", str), char_start=int(a["char_start"]))
+                    GoldAnswer(text=typed_field(a, "text", str), char_start=int(a["char_start"]))
                     for a in obj.get("gold_answers", [])
                 ),
             )

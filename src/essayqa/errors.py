@@ -1,4 +1,5 @@
-"""Exception types shared across the engine."""
+"""Exception types shared across the engine, and the text-file reader that
+turns undecodable input into one of them."""
 
 
 class EssayQAError(Exception):
@@ -23,3 +24,13 @@ class CheckpointError(EssayQAError):
 
 class PlanError(EssayQAError):
     """Experiment or training plan is unresolvable or malformed."""
+
+
+def read_text(path: str) -> str:
+    """The whole UTF-8 text file at ``path``, newlines translated as text mode
+    does; a file that is not UTF-8 raises ValidationError naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text ({exc.reason})") from exc

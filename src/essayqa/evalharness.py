@@ -13,12 +13,13 @@ from __future__ import annotations
 import json
 import os
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from .corpus import QAExample, load_any
-from .errors import OversizedQuestionError, PlanError, ValidationError
+from .encoder import EncoderConfig
+from .errors import OversizedQuestionError, PlanError, ValidationError, read_text
 from .locator import OVERSIZED_QUESTION, Verdict
 from .model import ModelBundle, new_model
 from .pipeline import infer_verdict, serving_model
@@ -175,12 +176,26 @@ class ExperimentPlan:
     def __post_init__(self):
         if not self.stages:
             raise PlanError("plan needs at least one stage")
+        # run_experiment sets seed and vocab_size itself
+        _check_config_keys("model", self.model, EncoderConfig, {"seed", "vocab_size"})
+        _check_config_keys("train", self.train, TrainConfig, {"seed"})
+
+
+def _check_config_keys(section: str, value, config_cls, reserved: set[str]) -> None:
+    """A plan's ``model`` / ``train`` object may set only the fields of the
+    config it builds, less those the runner sets itself."""
+    if not isinstance(value, dict):
+        raise PlanError(f"'{section}' must be a JSON object")
+    allowed = {f.name for f in fields(config_cls)} - reserved
+    unknown = sorted(set(value) - allowed)
+    if unknown:
+        raise PlanError(f"'{section}' has unknown key {unknown[0]!r} "
+                        f"(allowed: {', '.join(sorted(allowed))})")
 
 
 def load_plan(path: str) -> ExperimentPlan:
     try:
-        with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
+        obj = json.loads(read_text(path))
     except (OSError, json.JSONDecodeError) as exc:
         raise PlanError(f"{path}: cannot read plan: {exc}") from exc
     try:
@@ -188,6 +203,8 @@ def load_plan(path: str) -> ExperimentPlan:
         return ExperimentPlan(stages=stages, **obj)
     except (KeyError, TypeError) as exc:
         raise PlanError(f"{path}: malformed plan: {exc}") from exc
+    except PlanError as exc:
+        raise PlanError(f"{path}: {exc}") from exc
 
 
 def resolve_corpus(spec: str | dict, base_dir: str = ".") -> list[QAExample]:
@@ -260,9 +277,7 @@ def run_experiment(plan: ExperimentPlan, base_dir: str = ".",
                  for t in (ex.question, ex.context)]
         vocab = build_vocab(texts, size=size)
 
-    model_cfg = dict(plan.model)
-    model_cfg.setdefault("seed", plan.seed)
-    model = new_model(vocab, **model_cfg)
+    model = new_model(vocab, seed=plan.seed, **plan.model)
     base_cfg = TrainConfig(seed=plan.seed, **plan.train)
 
     stages = [

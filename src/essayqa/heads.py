@@ -25,9 +25,7 @@ def head_param_shapes(cfg: EncoderConfig) -> dict[str, tuple[int, ...]]:
     d = cfg.d_model
     return {
         "span.w_start": (d,),
-        "span.b_start": (1,),
         "span.w_end": (d,),
-        "span.b_end": (1,),
         "verify.w": (d, 2),
         "verify.b": (2,),
     }
@@ -65,10 +63,11 @@ class ScoreBundle:
 
 
 def span_logits(h_last: np.ndarray, params: dict[str, np.ndarray]):
-    """Per-position start/end logits; works on (tau, d) or (B, T, d)."""
-    start = h_last @ params["span.w_start"] + params["span.b_start"][0]
-    end = h_last @ params["span.w_end"] + params["span.b_end"][0]
-    return start, end
+    """Per-position start/end logits; works on (tau, d) or (B, T, d).
+
+    They carry no bias: the softmax over positions ignores a constant added
+    to every logit, so a bias would get no gradient."""
+    return h_last @ params["span.w_start"], h_last @ params["span.w_end"]
 
 
 def log_softmax_positions(logits: np.ndarray, mask: np.ndarray | None = None):

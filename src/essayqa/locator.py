@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import read_json_lines
+from .corpus import read_json_lines, typed_field
 from .errors import ValidationError
 from .heads import ScoreBundle, SpanDistributions
 from .seqbuild import InputSequence
@@ -134,4 +134,16 @@ def write_verdict_records(records: list[dict], fh) -> None:
 
 
 def read_verdict_records(path: str) -> list[dict]:
-    return [rec for _, rec in read_json_lines(path)]
+    """The records of a verdict file.  Each needs a string ``question_id`` and
+    a string or null ``text``; ValidationError names path and line if not."""
+    records: list[dict] = []
+    for lineno, rec in read_json_lines(path):
+        try:
+            typed_field(rec, "question_id", str)
+            typed_field(rec, "text", (str, type(None)))
+        except KeyError as exc:
+            raise ValidationError(f"{path}:{lineno}: missing field {exc}") from exc
+        except TypeError as exc:
+            raise ValidationError(f"{path}:{lineno}: malformed record: {exc}") from exc
+        records.append(rec)
+    return records

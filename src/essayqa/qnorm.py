@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .errors import ValidationError
+from .errors import ValidationError, read_text
 
 # A "word" for rule matching: a run of letters/digits (apostrophes split, so
 # the "you" in "you're" is its own token) or a single non-space symbol.
@@ -164,34 +164,33 @@ def load_rules(path: str) -> RewriteRuleSet:
     qwords: list[str] = []
     case_policy = RewriteRuleSet.case_policy
     section = None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if line.startswith("[") and line.endswith("]"):
-                section = line[1:-1].strip().lower()
-                if section not in ("pronouns", "question_words", "options"):
-                    raise ValidationError(f"{path}:{lineno}: unknown section [{section}]")
-                continue
-            if section == "pronouns":
-                if "->" not in line:
-                    raise ValidationError(f"{path}:{lineno}: expected 'source -> replacement'")
-                src, dst = (part.strip() for part in line.split("->", 1))
-                if not src or not dst:
-                    raise ValidationError(f"{path}:{lineno}: empty pronoun side")
-                pronouns.append((src, dst))
-            elif section == "question_words":
-                qwords.append(line)
-            elif section == "options":
-                if "=" not in line:
-                    raise ValidationError(f"{path}:{lineno}: expected 'key = value'")
-                key, value = (part.strip() for part in line.split("=", 1))
-                if key != "case_policy":
-                    raise ValidationError(f"{path}:{lineno}: unknown option {key!r}")
-                case_policy = value
-            else:
-                raise ValidationError(f"{path}:{lineno}: entry outside any section")
+    for lineno, raw in enumerate(read_text(path).split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line.startswith("[") and line.endswith("]"):
+            section = line[1:-1].strip().lower()
+            if section not in ("pronouns", "question_words", "options"):
+                raise ValidationError(f"{path}:{lineno}: unknown section [{section}]")
+            continue
+        if section == "pronouns":
+            if "->" not in line:
+                raise ValidationError(f"{path}:{lineno}: expected 'source -> replacement'")
+            src, dst = (part.strip() for part in line.split("->", 1))
+            if not src or not dst:
+                raise ValidationError(f"{path}:{lineno}: empty pronoun side")
+            pronouns.append((src, dst))
+        elif section == "question_words":
+            qwords.append(line)
+        elif section == "options":
+            if "=" not in line:
+                raise ValidationError(f"{path}:{lineno}: expected 'key = value'")
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key != "case_policy":
+                raise ValidationError(f"{path}:{lineno}: unknown option {key!r}")
+            case_policy = value
+        else:
+            raise ValidationError(f"{path}:{lineno}: entry outside any section")
     return RewriteRuleSet(
         pronoun_map=tuple(pronouns) or DEFAULT_PRONOUN_PAIRS,
         question_words=tuple(qwords) or DEFAULT_QUESTION_WORDS,

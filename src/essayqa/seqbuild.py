@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import OversizedQuestionError, ValidationError, VocabularyError
+from .errors import OversizedQuestionError, ValidationError, VocabularyError, read_text
 from .qnorm import _WORD_RE, NormalizedQuestion, split_words
 
 CLS = "[CLS]"
@@ -81,8 +81,7 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path: str) -> "Vocabulary":
-        with open(path, encoding="utf-8") as fh:
-            terms = [line.rstrip("\n") for line in fh]
+        terms = read_text(path).split("\n")
         while terms and terms[-1] == "":
             terms.pop()
         if len(terms) < 4:

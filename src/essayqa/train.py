@@ -191,9 +191,7 @@ def _part_loss_and_grads(params: dict[str, np.ndarray], cfg: EncoderConfig,
 
     grads: dict[str, np.ndarray] = {
         "span.w_start": np.einsum("bt,btd->d", d_start, h),
-        "span.b_start": np.array([d_start.sum()], dtype=h.dtype),
         "span.w_end": np.einsum("bt,btd->d", d_end, h),
-        "span.b_end": np.array([d_end.sum()], dtype=h.dtype),
         "verify.w": h_cls.T @ d_v,
         "verify.b": d_v.sum(axis=0),
     }

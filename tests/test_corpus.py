@@ -131,6 +131,18 @@ class TestSedFormat:
         loaded = load_sed_format(str(path))
         assert loaded == examples
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_lines_split_as_in_text_mode(self, tmp_path, newline):
+        examples = generate_synthetic(SyntheticConfig(count=3, seed=3))
+        path = tmp_path / "syn.jsonl"
+        save_sed_format(examples, str(path))
+        lines = path.read_text(encoding="utf-8").splitlines()
+        path.write_bytes(newline.join(lines[:2] + ["", '{"example_id": "x"}']).encode())
+        with pytest.raises(ValidationError, match=r"syn\.jsonl:4: missing field"):
+            load_sed_format(str(path))
+        path.write_bytes(newline.join(lines).encode())
+        assert load_sed_format(str(path)) == examples
+
     def test_missing_field_reports_line(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"example_id": "x"}\n', encoding="utf-8")

@@ -228,6 +228,23 @@ class TestCliEval:
         assert captured.out == ""
         assert "record e0" in captured.err and "'answered'" in captured.err
 
+    @pytest.mark.parametrize("field, value", [("question_id", 5), ("text", 5),
+                                              ("text", ["aa", "bb"])])
+    def test_mistyped_record_field_exits_1(self, tmp_path, capsys, field, value):
+        # an integer id must not match the gold id "5" by its string form
+        gold = [gold_example("5", answers=("aa bb",), context="aa bb cc")]
+        record = {"question_id": "5", "answered": True, "text": "aa bb", field: value}
+        assert cli_main(self._files(tmp_path, gold, [record])) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {tmp_path / 'pred.jsonl'}:1: ")
+        assert f"field '{field}' must be a JSON string" in captured.err
+
+    def test_record_without_question_id_exits_1(self, tmp_path, capsys):
+        gold = [gold_example("e0", answerable=False, context="dd ee")]
+        assert cli_main(self._files(tmp_path, gold, [{"answered": False, "text": None}])) == 1
+        assert "pred.jsonl:1: missing field 'question_id'" in capsys.readouterr().err
+
     def test_id_mismatch_exits_1(self, tmp_path, capsys):
         gold = [gold_example("e0"), gold_example("e1")]
         records = [verdict_to_record(make_verdict(False), "e0", "x")]

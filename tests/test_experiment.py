@@ -66,6 +66,47 @@ class TestPlanFile:
         with pytest.raises(PlanError):
             load_plan(str(path))
 
+    @pytest.mark.parametrize("section, key", [
+        ("train", "adam_epsilon"),
+        ("train", "adam_eps"),
+        ("train", "w_span"),
+        ("train", "seed"),
+        ("model", "d_modle"),
+        ("model", "seed"),
+        ("model", "vocab_size"),
+    ])
+    def test_unknown_config_key_rejected(self, tmp_path, section, key):
+        plan_obj = {
+            section: {key: 1},
+            "stages": [{"name": "a", "corpus": "a.jsonl"}],
+            "eval_corpus": "test.jsonl",
+        }
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(plan_obj), encoding="utf-8")
+        with pytest.raises(PlanError, match=f"'{section}' has unknown key '{key}'"):
+            load_plan(str(path))
+
+    def test_config_section_must_be_object(self, tmp_path):
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps({"train": [1], "stages": [{"name": "a", "corpus": "a.jsonl"}],
+                                    "eval_corpus": "test.jsonl"}), encoding="utf-8")
+        with pytest.raises(PlanError, match="'train' must be a JSON object"):
+            load_plan(str(path))
+
+    def test_cli_names_unknown_key_before_reading_corpora(self, tmp_path, capsys):
+        from essayqa.cli import cli_main
+
+        plan_obj = {
+            "model": {"d_modle": 16},
+            "stages": [{"name": "a", "corpus": "absent.jsonl"}],
+            "eval_corpus": "absent.jsonl",
+        }
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(plan_obj), encoding="utf-8")
+        assert cli_main(["experiment", "--plan", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: 'model' has unknown key 'd_modle'")
+
     def test_no_stages_rejected(self):
         with pytest.raises(PlanError):
             ExperimentPlan(stages=[], eval_corpus="x.jsonl")

@@ -49,7 +49,6 @@ class TestSpanProbabilities:
         cfg, params = setup_heads()
         params = dict(params)
         params["span.w_start"] = np.zeros(cfg.d_model)
-        params["span.b_start"] = np.zeros(1)
         h = RNG.normal(size=(7, cfg.d_model))
         dist = span_probabilities(h, params)
         assert np.allclose(dist.prob_start, 1.0 / 7)
@@ -58,8 +57,7 @@ class TestSpanProbabilities:
         cfg, params = setup_heads()
         h = RNG.normal(size=(5, cfg.d_model))
         dist = span_probabilities(h, params)
-        logits = [float(np.dot(h[i], params["span.w_start"]) + params["span.b_start"][0])
-                  for i in range(5)]
+        logits = [float(np.dot(h[i], params["span.w_start"])) for i in range(5)]
         expected = ref_softmax(logits)
         assert np.allclose(dist.prob_start, expected, atol=1e-10)
 
@@ -108,7 +106,7 @@ class TestLogSoftmaxPositions:
         cfg, params = setup_heads()
         h = RNG.normal(size=(9, cfg.d_model))
         dist = span_probabilities(h, params)
-        start = h @ params["span.w_start"] + params["span.b_start"][0]
+        start = h @ params["span.w_start"]
         assert np.array_equal(dist.prob_start, softmax_last(start))
 
 

@@ -404,6 +404,55 @@ class TestCli:
             assert cmd in proc.stdout
 
 
+# Latin-1 "é": a byte that cannot start a UTF-8 character.
+NOT_UTF8 = "caf\xe9 au lait\n".encode("latin-1")
+
+
+class TestNonUtf8Input:
+    """Every file a command reads exits 1 with ``error: <file>: ...`` when it is
+    not UTF-8, and ``error: <file>:<line>: ...`` for a JSON-lines file."""
+
+    @pytest.fixture
+    def paths(self, tmp_path):
+        corpus = generate_synthetic(SyntheticConfig(count=3, seed=1))
+        save_sed_format(corpus, str(tmp_path / "ok.jsonl"))
+        vocab = build_vocab([t for ex in corpus for t in (ex.question, ex.context)])
+        save_model(new_model(vocab, layers=1, d_model=8, heads=2, ffn_inner=8),
+                   str(tmp_path / "m.ckpt"))
+        (tmp_path / "ok.txt").write_text("what do you like\n", encoding="utf-8")
+        (tmp_path / "bad.txt").write_bytes(NOT_UTF8)
+        (tmp_path / "bad.json").write_bytes(NOT_UTF8)
+        # line 1 is blank, so every reader reaches line 2
+        (tmp_path / "bad.jsonl").write_bytes(b'\n{"question": "' + NOT_UTF8[:5] + b'"}\n')
+        return {name: str(tmp_path / name) for name in
+                ("ok.jsonl", "m.ckpt", "ok.txt", "bad.txt", "bad.json", "bad.jsonl", "out")}
+
+    @pytest.mark.parametrize("argv, where", [
+        (["normalize", "--in", "bad.txt"], "bad.txt"),
+        (["normalize", "--rules", "bad.txt", "--in", "ok.txt"], "bad.txt"),
+        (["build-vocab", "--in", "bad.txt", "--out", "out"], "bad.txt"),
+        (["ingest", "--in", "bad.jsonl", "--out", "out"], "bad.jsonl:2"),
+        (["ingest", "--in", "bad.json", "--out", "out"], "bad.json"),
+        (["train", "--corpus", "bad.jsonl", "--out", "out"], "bad.jsonl:2"),
+        (["experiment", "--plan", "bad.json"], "bad.json"),
+        (["eval", "--pred", "bad.jsonl", "--gold", "ok.jsonl"], "bad.jsonl:2"),
+        (["predict", "--model", "m.ckpt", "--essay", "bad.txt", "--requirements", "ok.txt"],
+         "bad.txt"),
+        (["predict", "--model", "m.ckpt", "--essay", "ok.txt", "--requirements", "bad.txt"],
+         "bad.txt"),
+        (["predict", "--model", "m.ckpt", "--vocab", "bad.txt", "--corpus", "ok.jsonl"],
+         "bad.txt"),
+    ], ids=["normalize", "rules", "build-vocab", "ingest-jsonl", "ingest-squad", "train",
+            "plan", "eval", "essay", "requirements", "vocab"])
+    def test_exits_1_naming_the_file(self, paths, capsys, argv, where):
+        name, _, line = where.partition(":")
+        assert run_cli([paths.get(arg, arg) for arg in argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        prefix = f"{paths[name]}:{line}" if line else paths[name]
+        assert captured.err.startswith(f"error: {prefix}: not UTF-8 text")
+
+
 class TestTrainedQuality:
     def test_held_out_quality_smoke(self, trained):
         model, _, _ = trained

@@ -410,9 +410,16 @@ class TestCheckpointMatchesConfig:
         with pytest.raises(CheckpointError, match="missing"):
             load_model(path)
 
-    def test_extra_tensor_rejected(self, tmp_path):
-        path = self._saved(tmp_path, lambda p: p.update(stray=np.zeros(3)))
-        with pytest.raises(CheckpointError, match="stray"):
+    # The span biases are the two extra tensors of a checkpoint written
+    # before they were removed from the heads.
+    @pytest.mark.parametrize("extra, message", [
+        ({"stray": np.zeros(3)}, "stray"),
+        ({"span.b_start": np.zeros(1), "span.b_end": np.zeros(1)},
+         r"'span\.b_start', 'span\.b_end'"),
+    ], ids=["stray", "span-biases"])
+    def test_extra_tensor_rejected(self, tmp_path, extra, message):
+        path = self._saved(tmp_path, lambda p: p.update(extra))
+        with pytest.raises(CheckpointError, match=message):
             load_model(path)
 
     def test_wrong_shape_rejected(self, tmp_path):
