@@ -68,11 +68,14 @@ class CorpusStats:
         return sum(count for _, _, count in self.answer_length_histogram)
 
 
-def typed_field(obj: dict, key: str, kind: type | tuple[type, ...], default=None):
+_REQUIRED = object()
+
+
+def typed_field(obj: dict, key: str, kind: type | tuple[type, ...], default=_REQUIRED):
     """``obj[key]``, or ``default`` when given and the key is absent; the value
     must be a JSON value of ``kind`` (a type or a tuple of types).  KeyError
     when missing, TypeError when mistyped."""
-    value = obj[key] if default is None else obj.get(key, default)
+    value = obj[key] if default is _REQUIRED else obj.get(key, default)
     if not isinstance(value, kind):
         kinds = kind if isinstance(kind, tuple) else (kind,)
         names = " or ".join(_JSON_TYPE_NAMES[k] for k in kinds)

@@ -134,13 +134,14 @@ def write_verdict_records(records: list[dict], fh) -> None:
 
 
 def read_verdict_records(path: str) -> list[dict]:
-    """The records of a verdict file.  Each needs a string ``question_id`` and
-    a string or null ``text``; ValidationError names path and line if not."""
+    """The records of a verdict file.  Each needs a string ``question_id``;
+    ``text`` is a string or null, and an absent ``text`` reads as null.
+    ValidationError names path and line if not."""
     records: list[dict] = []
     for lineno, rec in read_json_lines(path):
         try:
             typed_field(rec, "question_id", str)
-            typed_field(rec, "text", (str, type(None)))
+            rec["text"] = typed_field(rec, "text", (str, type(None)), None)
         except KeyError as exc:
             raise ValidationError(f"{path}:{lineno}: missing field {exc}") from exc
         except TypeError as exc:

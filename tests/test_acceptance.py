@@ -43,6 +43,7 @@ from essayqa.train import (
     train_stage,
 )
 
+from recipes import CRITERION8, synthetic
 from reference import (
     brute_force_tav,
     finite_difference_grad,
@@ -237,19 +238,8 @@ class TestCriterion07OverfitCapacity:
 class TestCriterion08EndToEndLearning:
     def test_held_out_quality_on_5000_synthetic(self):
         t0 = time.time()
-        train = generate_synthetic(SyntheticConfig(count=5000, answerable_ratio=0.6,
-                                                   seed=101))
-        dev = generate_synthetic(SyntheticConfig(count=500, answerable_ratio=0.6,
-                                                 seed=202))
-        test = generate_synthetic(SyntheticConfig(count=1000, answerable_ratio=0.6,
-                                                  seed=303))
-        vocab = build_vocab([t for ex in train for t in (ex.question, ex.context)],
-                            size=8000)
-        model = new_model(vocab, seed=0)
-        cfg = TrainConfig(epochs=6, learning_rate=1e-3, batch_size=16, seed=0,
-                          warmup_steps=100)
-        model, _ = multi_stage_train(model, [Stage(name="synthetic", corpus=train,
-                                                   dev=dev)], cfg)
+        model, _ = CRITERION8.fit()
+        test = synthetic(*CRITERION8.test)
         result = evaluate_model(model, test)
         elapsed = time.time() - t0
         assert result.accuracy >= 0.90

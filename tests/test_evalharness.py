@@ -245,6 +245,17 @@ class TestCliEval:
         assert cli_main(self._files(tmp_path, gold, [{"answered": False, "text": None}])) == 1
         assert "pred.jsonl:1: missing field 'question_id'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("answered, status", [(False, 0), (True, 1)])
+    def test_absent_text_reads_as_null(self, tmp_path, capsys, answered, status):
+        gold = [gold_example("e0", answerable=False, context="dd ee")]
+        record = {"question_id": "e0", "answered": answered}
+        assert cli_main(self._files(tmp_path, gold, [record])) == status
+        captured = capsys.readouterr()
+        if status == 0:
+            assert captured.out.splitlines()[0] == "accuracy: 1.0000"
+        else:
+            assert "record e0" in captured.err and "'answered'" in captured.err
+
     def test_id_mismatch_exits_1(self, tmp_path, capsys):
         gold = [gold_example("e0"), gold_example("e1")]
         records = [verdict_to_record(make_verdict(False), "e0", "x")]

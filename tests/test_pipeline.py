@@ -17,22 +17,14 @@ from essayqa.pipeline import EvaluationRequest, evaluate, infer_verdict
 from essayqa.seqbuild import Vocabulary, assemble, build_vocab
 from essayqa.synthetic import SyntheticConfig, generate_synthetic
 from essayqa.train import Stage, TrainConfig, multi_stage_train
+from recipes import FIXTURE, PROBES, synthetic
 
 
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):
     """A small but genuinely trained model over the domain bank (measured
     held-out quality at these exact seeds: acc 0.865, overlap F1 0.771)."""
-    train_set = generate_synthetic(SyntheticConfig(count=2000, answerable_ratio=0.6,
-                                                   seed=31))
-    dev = generate_synthetic(SyntheticConfig(count=150, answerable_ratio=0.6, seed=32))
-    texts = [t for ex in train_set for t in (ex.question, ex.context)]
-    vocab = build_vocab(texts, size=4000)
-    model = new_model(vocab, seed=0)
-    cfg = TrainConfig(epochs=8, learning_rate=1e-3, batch_size=16, seed=0,
-                      warmup_steps=50)
-    model, _ = multi_stage_train(model, [Stage(name="fit", corpus=train_set, dev=dev)],
-                                 cfg)
+    model, train_set = FIXTURE.fit()
     path = tmp_path_factory.mktemp("model") / "desk.ckpt"
     save_model(model, str(path))
     return model, str(path), train_set
@@ -43,7 +35,7 @@ class TestEvaluate:
         # in-sample probes: the wiring test; held-out quality is gated by the
         # acceptance suite on the full-size training run
         model, _, train_set = trained
-        answerable = [ex for ex in train_set if ex.answerable][:30]
+        answerable = [ex for ex in train_set if ex.answerable][:PROBES]
         hits = 0
         for ex in answerable:
             verdict = infer_verdict(model, ex.question, ex.context)
@@ -456,8 +448,7 @@ class TestNonUtf8Input:
 class TestTrainedQuality:
     def test_held_out_quality_smoke(self, trained):
         model, _, _ = trained
-        held_out = generate_synthetic(SyntheticConfig(count=200, answerable_ratio=0.6,
-                                                      seed=85))
+        held_out = synthetic(*FIXTURE.test)
         result = evaluate_model(model, held_out)
         assert result.accuracy >= 0.80
         assert result.mean_overlap_f1 >= 0.70

@@ -1,9 +1,10 @@
 """Quality study over several training seeds.  It reports; it gates nothing.
 
-    python3 tools/quality.py [--seeds 0 1 2 3 4] [--recipes criterion8 fixture]
+    python3 tools/quality.py
 
-Run from the root of a checkout; essayqa is imported from its ``src/``.  Each
-recipe is retrained once per ``TrainConfig.seed`` (the shuffle order; data,
+Run from the root of a checkout; essayqa is imported from its ``src/`` and
+the recipes from ``tests/recipes.py``, the module the gates train with.  Each
+recipe is retrained for ``TrainConfig.seed`` 0-4 (the shuffle order; data,
 vocabulary and initial weights stay fixed), and one JSON object per recipe
 is printed:
 
@@ -25,7 +26,6 @@ seed on one core.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import statistics
@@ -34,42 +34,21 @@ import time
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                                "src"))
+_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [os.path.join(_ROOT, "src"), os.path.join(_ROOT, "tests")]
 
 from essayqa.evalharness import evaluate_verdicts, predict_corpus  # noqa: E402
-from essayqa.model import new_model  # noqa: E402
 from essayqa.pipeline import infer_verdict  # noqa: E402
-from essayqa.seqbuild import build_vocab  # noqa: E402
-from essayqa.synthetic import SyntheticConfig, generate_synthetic  # noqa: E402
-from essayqa.train import Stage, TrainConfig, multi_stage_train  # noqa: E402
+from recipes import CRITERION8, FIXTURE, PROBES, synthetic  # noqa: E402
 
-PROBES = 30
-
-
-def _synthetic(count: int, seed: int):
-    return generate_synthetic(SyntheticConfig(count=count, answerable_ratio=0.6, seed=seed))
-
-
-# name -> (train count, train seed, dev count, dev seed, scored count, scored
-# seed, vocabulary size, epochs, warmup steps), as the two tests set them
-RECIPES = {
-    "criterion8": (5000, 101, 500, 202, 1000, 303, 8000, 6, 100),
-    "fixture": (2000, 31, 150, 32, 200, 85, 4000, 8, 50),
-}
+RECIPES = {"criterion8": CRITERION8, "fixture": FIXTURE}
+SEEDS = range(5)
 
 
 def run_seed(recipe: str, seed: int) -> dict:
-    n_train, s_train, n_dev, s_dev, n_test, s_test, vocab_size, epochs, warmup = RECIPES[recipe]
-    train_set, dev, test = (_synthetic(n_train, s_train), _synthetic(n_dev, s_dev),
-                            _synthetic(n_test, s_test))
     t0 = time.perf_counter()
-    vocab = build_vocab([t for ex in train_set for t in (ex.question, ex.context)],
-                        size=vocab_size)
-    cfg = TrainConfig(epochs=epochs, learning_rate=1e-3, batch_size=16, seed=seed,
-                      warmup_steps=warmup)
-    model, _ = multi_stage_train(new_model(vocab, seed=0),
-                                 [Stage(name="fit", corpus=train_set, dev=dev)], cfg)
+    model, train_set = RECIPES[recipe].fit(seed)
+    test = synthetic(*RECIPES[recipe].test)
     verdicts = predict_corpus(model, test)
     result = evaluate_verdicts(verdicts, test)
     row = {
@@ -92,17 +71,10 @@ def summary(values: list[float]) -> dict:
     return {"median": statistics.median(values), "min": min(values), "iqr": q3 - q1}
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
-    parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2, 3, 4])
-    parser.add_argument("--recipes", nargs="+", choices=sorted(RECIPES),
-                        default=list(RECIPES))
-    args = parser.parse_args(argv)
-    if len(args.seeds) < 2:
-        parser.error("an interquartile range needs at least 2 seeds")
-    for recipe in args.recipes:
+def main() -> int:
+    for recipe in RECIPES:
         rows = []
-        for seed in args.seeds:
+        for seed in SEEDS:
             rows.append(run_seed(recipe, seed))
             print(json.dumps({"recipe": recipe, **rows[-1]}), file=sys.stderr, flush=True)
         report = {"recipe": recipe, "seeds": rows,
