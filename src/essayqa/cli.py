@@ -97,6 +97,10 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    cfg = TrainConfig(
+        epochs=args.epochs, learning_rate=args.learning_rate,
+        batch_size=args.batch_size, seed=args.seed, warmup_steps=args.warmup_steps,
+    )
     train_corpus = corpus_mod.load_any(args.corpus)
     dev = corpus_mod.load_any(args.dev) if args.dev else None
     if args.vocab:
@@ -113,10 +117,6 @@ def _cmd_train(args) -> int:
     model.rv_beta1 = args.beta1
     model.rv_beta2 = args.beta2
     model.zeta = args.zeta
-    cfg = TrainConfig(
-        epochs=args.epochs, learning_rate=args.learning_rate,
-        batch_size=args.batch_size, seed=args.seed, warmup_steps=args.warmup_steps,
-    )
     stage = Stage(name="train", corpus=train_corpus, dev=dev,
                   dev_fraction=0.0 if dev else args.dev_fraction)
     model, infos = multi_stage_train(model, [stage], cfg)

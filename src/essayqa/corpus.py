@@ -21,7 +21,8 @@ from .errors import ValidationError, read_text
 
 HISTOGRAM_BIN_WIDTH = 5  # characters per answer-length bin
 
-_JSON_TYPE_NAMES = {str: "string", bool: "boolean", type(None): "null"}
+_JSON_TYPE_NAMES = {str: "string", bool: "boolean", int: "integer", float: "number",
+                    dict: "object", list: "array", type(None): "null"}
 
 
 @dataclass(frozen=True)
@@ -71,15 +72,25 @@ class CorpusStats:
 _REQUIRED = object()
 
 
+def _is_json_kind(value, kind: type) -> bool:
+    """isinstance with JSON's number rules: a boolean is no integer or number,
+    and an integer is a number."""
+    if kind in (int, float):
+        return isinstance(value, (int, kind)) and not isinstance(value, bool)
+    return isinstance(value, kind)
+
+
 def typed_field(obj: dict, key: str, kind: type | tuple[type, ...], default=_REQUIRED):
     """``obj[key]``, or ``default`` when given and the key is absent; the value
-    must be a JSON value of ``kind`` (a type or a tuple of types).  KeyError
-    when missing, TypeError when mistyped."""
+    must be a JSON value of ``kind`` (a type or a tuple of types; ``int``
+    rejects booleans and ``float`` accepts integers).  KeyError when missing,
+    TypeError when mistyped."""
     value = obj[key] if default is _REQUIRED else obj.get(key, default)
-    if not isinstance(value, kind):
-        kinds = kind if isinstance(kind, tuple) else (kind,)
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    if not any(_is_json_kind(value, k) for k in kinds):
         names = " or ".join(_JSON_TYPE_NAMES[k] for k in kinds)
-        raise TypeError(f"field '{key}' must be a JSON {names}, not {json.dumps(value)}")
+        raise TypeError(f"field '{key}' must be a JSON {names}, "
+                        f"not {json.dumps(value, default=repr)}")
     return value
 
 

@@ -154,8 +154,14 @@ def softmax_last(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def _ln_forward(x, gain, bias):
-    xhat = x - x.mean(axis=-1, keepdims=True)
-    var = (xhat ** 2).mean(axis=-1, keepdims=True)
+    # A sum then an in-place divide is what ndarray.mean computes, bit for
+    # bit, without the Python overhead of its wrapper.
+    d = x.shape[-1]
+    mean = np.add.reduce(x, axis=-1, keepdims=True)
+    mean /= d
+    xhat = x - mean
+    var = np.add.reduce(xhat ** 2, axis=-1, keepdims=True)
+    var /= d
     inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat *= inv
     y = xhat * gain

@@ -14,10 +14,12 @@ import json
 import os
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .corpus import QAExample, load_any
+from .corpus import QAExample, load_any, typed_field
 from .encoder import EncoderConfig
 from .errors import OversizedQuestionError, PlanError, ValidationError, read_text
 from .locator import OVERSIZED_QUESTION, Verdict
@@ -162,6 +164,9 @@ class PlanStage:
     dev: str | dict | None = None
     dev_fraction: float = 0.1
 
+    def __post_init__(self):
+        _check_types("stage ", vars(self), PlanStage)
+
 
 @dataclass
 class ExperimentPlan:
@@ -174,23 +179,37 @@ class ExperimentPlan:
     overlap_unit: str = "word"
 
     def __post_init__(self):
+        _check_types("", vars(self), ExperimentPlan)
         if not self.stages:
             raise PlanError("plan needs at least one stage")
         # run_experiment sets seed and vocab_size itself
-        _check_config_keys("model", self.model, EncoderConfig, {"seed", "vocab_size"})
-        _check_config_keys("train", self.train, TrainConfig, {"seed"})
+        _check_config("model", self.model, EncoderConfig, {"seed", "vocab_size"})
+        _check_config("train", self.train, TrainConfig, {"seed"})
 
 
-def _check_config_keys(section: str, value, config_cls, reserved: set[str]) -> None:
+def _check_config(section: str, values: dict, config_cls, reserved: set[str]) -> None:
     """A plan's ``model`` / ``train`` object may set only the fields of the
-    config it builds, less those the runner sets itself."""
-    if not isinstance(value, dict):
-        raise PlanError(f"'{section}' must be a JSON object")
+    config it builds, less those the runner sets itself, each to a value of
+    the field's type."""
     allowed = {f.name for f in fields(config_cls)} - reserved
-    unknown = sorted(set(value) - allowed)
+    unknown = sorted(set(values) - allowed)
     if unknown:
         raise PlanError(f"'{section}' has unknown key {unknown[0]!r} "
                         f"(allowed: {', '.join(sorted(allowed))})")
+    _check_types(f"'{section}' ", values, config_cls)
+
+
+def _check_types(where: str, values: dict, cls) -> None:
+    """Each value must be a JSON value of the type annotated on ``cls``'s
+    field of that name (``corpus.typed_field``'s rules)."""
+    hints = get_type_hints(cls)
+    for key in values:
+        hint = hints[key]
+        kinds = get_args(hint) if isinstance(hint, UnionType) else (hint,)
+        try:
+            typed_field(values, key, tuple(get_origin(k) or k for k in kinds))
+        except TypeError as exc:
+            raise PlanError(f"{where}{exc}") from None
 
 
 def load_plan(path: str) -> ExperimentPlan:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoder import _MASKED, EncoderConfig, init_params
+from .encoder import _MASKED, EncoderConfig, init_params, softmax_last
 from .errors import ValidationError
 
 
@@ -86,10 +86,10 @@ def log_softmax_positions(logits: np.ndarray, mask: np.ndarray | None = None):
 
 
 def span_probabilities(h_last: np.ndarray, params: dict[str, np.ndarray]) -> SpanDistributions:
-    """Softmax over positions of the per-position start and end logits."""
+    """Softmax over positions of the per-position start and end logits; bit
+    for bit the p of ``log_softmax_positions``, without computing log p."""
     start, end = span_logits(h_last, params)
-    return SpanDistributions(prob_start=log_softmax_positions(start)[1],
-                             prob_end=log_softmax_positions(end)[1])
+    return SpanDistributions(prob_start=softmax_last(start), prob_end=softmax_last(end))
 
 
 def verifier_logits(h_cls: np.ndarray, params: dict[str, np.ndarray]) -> np.ndarray:

@@ -4,7 +4,7 @@ model is self-contained."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -23,6 +23,9 @@ class ModelBundle:
     rv_beta1: float = 0.5
     rv_beta2: float = 0.5
     zeta: float = 0.0
+    # pipeline.serving_model's float32 copy: (the master params it was made
+    # from, the served params).  Not carried over by dataclasses.replace.
+    _serving: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
 
 def param_shapes(config: EncoderConfig) -> dict[str, tuple[int, ...]]:

@@ -4,7 +4,9 @@ locate the responding span.
 
 Every verdict is computed in float32.  A float64 model is the master copy
 that training updates and checkpoints store; ``serving_model`` gives the
-float32 copy its verdicts are served from, and the master is never changed.
+float32 copy its verdicts are served from, made once per model and cached
+on it.  The master's values are never changed, and its copied arrays are
+read-only once served.
 """
 
 from __future__ import annotations
@@ -42,19 +44,42 @@ _EMBEDDING_TABLES = ("tok_emb", "pos_emb")
 
 def serving_model(model: ModelBundle) -> ModelBundle:
     """The model verdicts are computed with: a float32 model itself, or a
-    float32 copy of a float64 model's layer and head tensors."""
+    float32 copy of a float64 model's layer and head tensors.
+
+    The copy is made once per model and kept on it while every entry of
+    ``model.params`` is the same array object; assigning a new tensor or a
+    new dict makes the next call copy again.  The master arrays a cached
+    copy was made from become read-only, so an in-place write raises
+    instead of leaving the copy stale.  ``zeta``, the betas, the vocabulary
+    and the rules are read from the model on every call.
+    """
     if model.config.dtype == _SERVING_DTYPE:
         return model
-    params = {name: arr if name in _EMBEDDING_TABLES else arr.astype(_SERVING_DTYPE)
-              for name, arr in model.params.items()}
-    return replace(model, config=replace(model.config, dtype=_SERVING_DTYPE), params=params)
+    cached = model._serving
+    if cached is None or not _same_arrays(model.params, cached[0]):
+        source = tuple(model.params.items())
+        params = {name: arr if name in _EMBEDDING_TABLES else arr.astype(_SERVING_DTYPE)
+                  for name, arr in source}
+        for name, arr in source:
+            if name not in _EMBEDDING_TABLES:
+                arr.setflags(write=False)
+        cached = model._serving = (source, params)
+    return replace(model, config=replace(model.config, dtype=_SERVING_DTYPE),
+                   params=cached[1])
+
+
+def _same_arrays(params: dict, source: tuple) -> bool:
+    return len(params) == len(source) and all(
+        name == src_name and arr is src_arr
+        for (name, arr), (src_name, src_arr) in zip(params.items(), source))
 
 
 def infer_verdict(model: ModelBundle, question: str, essay: str) -> Verdict:
     """Run the full pipeline for one (question, essay) pair, in float32.
 
-    Callers that serve many verdicts pass ``serving_model(model)`` so a
-    float64 model is copied once, not once per verdict.
+    A float64 model is served from its cached float32 copy
+    (``serving_model``), so its served layer and head arrays are read-only
+    after the first verdict.
     """
     model = serving_model(model)
     normalized = qnorm.normalize(question, model.rules)

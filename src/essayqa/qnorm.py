@@ -51,21 +51,28 @@ class RewriteRuleSet:
     pronoun_map: tuple[tuple[str, str], ...] = DEFAULT_PRONOUN_PAIRS
     question_words: tuple[str, ...] = DEFAULT_QUESTION_WORDS
     case_policy: str = "capitalize_first"  # or "preserve"
+    # Built once from the fields above; normalize() reads them on every call.
+    _pronoun_lookup: dict[str, str] = field(init=False, repr=False, compare=False)
+    _question_word_set: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        keys = [src.lower() for src, _ in self.pronoun_map]
-        if len(keys) != len(set(keys)):
+        lookup = {src.lower(): dst for src, dst in self.pronoun_map}
+        if len(lookup) != len(self.pronoun_map):
             raise ValidationError("pronoun_map keys must be unique (case-insensitive)")
         if not self.question_words:
             raise ValidationError("question_words must be nonempty")
         if self.case_policy not in ("preserve", "capitalize_first"):
             raise ValidationError(f"unknown case_policy: {self.case_policy!r}")
+        object.__setattr__(self, "_pronoun_lookup", lookup)
+        object.__setattr__(self, "_question_word_set",
+                           frozenset(w.lower() for w in self.question_words))
 
     def pronoun_lookup(self) -> dict[str, str]:
-        return {src.lower(): dst for src, dst in self.pronoun_map}
+        """Lower-cased source -> replacement; shared, so do not mutate it."""
+        return self._pronoun_lookup
 
     def question_word_set(self) -> frozenset[str]:
-        return frozenset(w.lower() for w in self.question_words)
+        return self._question_word_set
 
 
 @dataclass(frozen=True)

@@ -65,6 +65,10 @@ class TrainConfig:
             raise ValidationError("epochs and batch_size must be positive")
         if self.learning_rate <= 0:
             raise ValidationError("learning_rate must be positive")
+        if self.warmup_steps < 0:
+            raise ValidationError("warmup_steps must not be negative")
+        if self.max_steps is not None and self.max_steps < 1:
+            raise ValidationError("max_steps must be at least 1 (or None for no cap)")
 
 
 @dataclass(frozen=True)

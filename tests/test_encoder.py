@@ -352,6 +352,25 @@ def masked_batch():
 
 class TestBitIdenticalToOutOfPlace:
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("shape", [(1, 12), (9, 12), (65, 64), (3, 7, 64), (5, 1, 12)])
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    def test_layer_norm(self, dtype, shape, scale):
+        """``_ln_forward``'s sum-then-divide equals the ``x - x.mean()`` /
+        ``(xhat ** 2).mean()`` formula bit for bit."""
+        rng = np.random.default_rng(len(shape) * 1000 + shape[-1])
+        gain = rng.normal(size=shape[-1]).astype(dtype)
+        bias = rng.normal(size=shape[-1]).astype(dtype)
+        for _ in range(20):
+            x = ((rng.normal(size=shape) + rng.normal()) * scale).astype(dtype)
+            y, (xhat, inv, g) = encoder._ln_forward(x, gain, bias)
+            y_ref, (xhat_ref, inv_ref, _) = ref_ln_forward(x, gain, bias)
+            assert y.dtype == xhat.dtype == inv.dtype == np.dtype(dtype)
+            assert np.array_equal(y, y_ref)
+            assert np.array_equal(xhat, xhat_ref)
+            assert np.array_equal(inv, inv_ref)
+            assert g is gain
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
     @pytest.mark.parametrize("scale", [1.0, 100.0])
     def test_scaled_attention(self, monkeypatch, dtype, scale):
         cfg = bit_config(dtype=dtype)

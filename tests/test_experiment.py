@@ -107,6 +107,60 @@ class TestPlanFile:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: 'model' has unknown key 'd_modle'")
 
+    @pytest.mark.parametrize("section, key, value, kind", [
+        ("train", "epochs", "2", "integer"),
+        ("train", "epochs", True, "integer"),
+        ("train", "batch_size", 8.0, "integer"),
+        ("train", "learning_rate", "1e-3", "number"),
+        ("train", "max_steps", False, "integer or null"),
+        ("model", "layers", "2", "integer"),
+        ("model", "use_residual_norm", 1, "boolean"),
+        ("model", "dtype", 32, "string"),
+        ("stage", "epochs", "1", "integer or null"),
+        ("stage", "dev_fraction", "0.1", "number"),
+    ])
+    def test_mistyped_value_rejected(self, tmp_path, section, key, value, kind):
+        stage = {"name": "a", "corpus": "a.jsonl"}
+        plan_obj = {"stages": [stage], "eval_corpus": "test.jsonl"}
+        if section == "stage":
+            stage[key] = value
+        else:
+            plan_obj[section] = {key: value}
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(plan_obj), encoding="utf-8")
+        where = "stage" if section == "stage" else f"'{section}'"
+        with pytest.raises(PlanError) as info:
+            load_plan(str(path))
+        assert str(info.value) == (f"{path}: {where} field '{key}' must be a JSON {kind}, "
+                                   f"not {json.dumps(value)}")
+
+    def test_int_for_float_and_null_max_steps_accepted(self, tmp_path):
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps({
+            "train": {"learning_rate": 1, "max_steps": None},
+            "stages": [{"name": "a", "corpus": "a.jsonl", "learning_rate": 1,
+                        "dev_fraction": 0}],
+            "eval_corpus": "test.jsonl",
+        }), encoding="utf-8")
+        plan = load_plan(str(path))
+        assert TrainConfig(**plan.train).learning_rate == 1
+        assert plan.stages[0].dev_fraction == 0
+
+    def test_cli_names_mistyped_value_before_reading_corpora(self, tmp_path, capsys):
+        from essayqa.cli import cli_main
+
+        plan_obj = {
+            "train": {"epochs": "2"},
+            "stages": [{"name": "a", "corpus": "absent.jsonl"}],
+            "eval_corpus": "absent.jsonl",
+        }
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(plan_obj), encoding="utf-8")
+        assert cli_main(["experiment", "--plan", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: {path}: 'train' field 'epochs' must be a JSON integer, "
+                       f"not \"2\"\n")
+
     def test_no_stages_rejected(self):
         with pytest.raises(PlanError):
             ExperimentPlan(stages=[], eval_corpus="x.jsonl")

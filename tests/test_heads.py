@@ -109,6 +109,20 @@ class TestLogSoftmaxPositions:
         start = h @ params["span.w_start"]
         assert np.array_equal(dist.prob_start, softmax_last(start))
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("scale", [1.0, 30.0, 1e4])
+    def test_span_probabilities_equal_its_p(self, dtype, scale):
+        """span_probabilities skips log p but keeps p's bits."""
+        cfg, params = setup_heads()
+        params = {k: v.astype(dtype) for k, v in params.items()}
+        for tau in (1, 2, 9, 65, 512):
+            h = (RNG.normal(size=(tau, cfg.d_model)) * scale).astype(dtype)
+            dist = span_probabilities(h, params)
+            start, end = h @ params["span.w_start"], h @ params["span.w_end"]
+            assert dist.prob_start.dtype == dtype
+            assert np.array_equal(dist.prob_start, log_softmax_positions(start)[1])
+            assert np.array_equal(dist.prob_end, log_softmax_positions(end)[1])
+
 
 class TestExternalFrontVerification:
     def test_equal_logits_zero_score(self):

@@ -188,3 +188,86 @@ class TestOneServingPrecision:
         else:
             select_zeta(model, EXAMPLES)
         assert copies == [model]
+
+
+LAYER = "layer0.attn.w_q"
+
+
+def three_requirements(model):
+    return EvaluationRequest(essay=EXAMPLES[0].context, model=model,
+                             requirements=tuple(ex.question for ex in EXAMPLES[:3]))
+
+
+def served_params(monkeypatch):
+    """The parameter dicts every encode() call is given, in call order."""
+    seen = []
+    original = pipeline.encode
+
+    def spy(seq, params, cfg):
+        seen.append(params)
+        return original(seq, params, cfg)
+
+    monkeypatch.setattr(pipeline, "encode", spy)
+    return seen
+
+
+class TestServingCache:
+    """A float64 model is copied to float32 once and served from that copy
+    while its tensors stay the same array objects."""
+
+    def test_two_evaluate_calls_share_one_copy(self, monkeypatch):
+        model = small_model("float64")
+        seen = served_params(monkeypatch)
+        first = evaluate(three_requirements(model))
+        second = evaluate(three_requirements(model))
+        assert first == second and len(seen) == 6
+        for name, arr in model.params.items():
+            if name not in ("tok_emb", "pos_emb"):
+                assert all(p[name] is seen[0][name] for p in seen), name
+                assert seen[0][name].dtype == np.float32 and arr is not seen[0][name]
+
+    @pytest.mark.parametrize("change", ["tensor", "dict"])
+    def test_new_weights_are_served_at_once(self, change):
+        model = small_model("float64")
+        before = evaluate(three_requirements(model))
+        old = serving_model(model).params[LAYER]
+        new_w = model.params[LAYER] * -3.0
+        if change == "tensor":
+            model.params[LAYER] = new_w
+        else:
+            model.params = {**model.params, LAYER: new_w}
+        served = serving_model(model)
+        assert served.params[LAYER] is not old
+        assert np.array_equal(served.params[LAYER], new_w.astype(np.float32))
+        after = evaluate(three_requirements(model))
+        assert after != before
+        assert after == evaluate(three_requirements(replace(model, params=dict(model.params))))
+
+    def test_zeta_and_betas_apply_without_a_new_copy(self):
+        model = small_model("float64")
+        layer = serving_model(model).params[LAYER]
+        for zeta in (-1e9, 1e9):
+            model.zeta = zeta
+            verdicts = evaluate(three_requirements(model))
+            assert all(v.scores.answered == (zeta > 0) for v in verdicts)
+        model.rv_beta1, model.rv_beta2 = 0.25, 0.75
+        served = serving_model(model)
+        assert (served.zeta, served.rv_beta1, served.rv_beta2) == (1e9, 0.25, 0.75)
+        assert served.params[LAYER] is layer
+
+    def test_in_place_write_to_a_served_master_array_raises(self):
+        model = small_model("float64")
+        evaluate(three_requirements(model))
+        with pytest.raises(ValueError, match="read-only"):
+            model.params[LAYER][0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            model.params["verify.b"] += 1.0
+        assert model.params["tok_emb"].flags.writeable  # shared, never stale
+
+    def test_replace_starts_without_the_cache(self):
+        model = small_model("float64")
+        layer = serving_model(model).params[LAYER]
+        other = replace(model, zeta=model.zeta + 1.0)
+        assert other._serving is None
+        assert serving_model(other).params[LAYER] is not layer
+        assert serving_model(model).params[LAYER] is layer

@@ -101,6 +101,26 @@ class TestPrepareExamples:
         assert (prepared[0].gold_start, prepared[0].gold_end) == (1, 1)
 
 
+class TestTrainConfigBounds:
+    @pytest.mark.parametrize("kwargs", [{"max_steps": 0}, {"max_steps": -1},
+                                        {"warmup_steps": -5}])
+    def test_rejected(self, kwargs):
+        with pytest.raises(ValidationError, match=next(iter(kwargs))):
+            TrainConfig(**kwargs)
+
+    def test_edges_accepted(self):
+        cfg = TrainConfig(max_steps=1, warmup_steps=0)
+        assert (cfg.max_steps, cfg.warmup_steps) == (1, 0)
+        assert TrainConfig(max_steps=None).max_steps is None
+
+    def test_cli_rejects_negative_warmup_before_reading_the_corpus(self, tmp_path, capsys):
+        code = cli_main(["train", "--corpus", str(tmp_path / "absent.jsonl"),
+                         "--out", str(tmp_path / "m.ckpt"), "--warmup-steps", "-5"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: warmup_steps must not be negative\n"
+        assert not (tmp_path / "m.ckpt").exists()
+
+
 class TestTrainStage:
     def test_empty_corpus_rejected(self):
         model = desk_model(small_corpus(4))
