@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import os
 from collections import Counter
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 
@@ -26,7 +26,7 @@ from .locator import OVERSIZED_QUESTION, Verdict
 from .model import ModelBundle, new_model
 from .pipeline import infer_verdict, serving_model
 from .qnorm import split_words
-from .seqbuild import VOCAB_SIZE, Vocabulary, build_vocab, tokenize
+from .seqbuild import RESERVED, VOCAB_SIZE, Vocabulary, build_vocab, tokenize
 from .synthetic import SyntheticConfig, generate_synthetic
 from .train import Stage, TrainConfig, run_stage
 
@@ -166,6 +166,8 @@ class PlanStage:
 
     def __post_init__(self):
         _check_types("stage ", vars(self), PlanStage)
+        _check_corpus_spec(f"stage {self.name!r} 'corpus'", self.corpus)
+        _check_corpus_spec(f"stage {self.name!r} 'dev'", self.dev)
 
 
 @dataclass
@@ -183,33 +185,77 @@ class ExperimentPlan:
         if not self.stages:
             raise PlanError("plan needs at least one stage")
         # run_experiment sets seed and vocab_size itself
-        _check_config("model", self.model, EncoderConfig, {"seed", "vocab_size"})
-        _check_config("train", self.train, TrainConfig, {"seed"})
+        _check_config("'model'", self.model, EncoderConfig, {"seed", "vocab_size"})
+        _check_config("'train'", self.train, TrainConfig, {"seed"})
+        _check_corpus_spec("'eval_corpus'", self.eval_corpus)
+        if isinstance(self.vocab, dict):
+            _check_vocab(self.vocab)
 
 
-def _check_config(section: str, values: dict, config_cls, reserved: set[str]) -> None:
-    """A plan's ``model`` / ``train`` object may set only the fields of the
-    config it builds, less those the runner sets itself, each to a value of
-    the field's type."""
+def _check_config(where: str, values: dict, config_cls, reserved: set[str]) -> None:
+    """A plan's ``model`` / ``train`` / synthetic-corpus object may set only
+    the fields of the config it builds, less those the runner sets itself,
+    each to a value of the field's type."""
     allowed = {f.name for f in fields(config_cls)} - reserved
     unknown = sorted(set(values) - allowed)
     if unknown:
-        raise PlanError(f"'{section}' has unknown key {unknown[0]!r} "
+        raise PlanError(f"{where} has unknown key {unknown[0]!r} "
                         f"(allowed: {', '.join(sorted(allowed))})")
-    _check_types(f"'{section}' ", values, config_cls)
+    _check_types(f"{where} ", values, config_cls)
 
 
 def _check_types(where: str, values: dict, cls) -> None:
     """Each value must be a JSON value of the type annotated on ``cls``'s
-    field of that name (``corpus.typed_field``'s rules)."""
+    field of that name (``corpus.typed_field``'s rules); a tuple field reads
+    a JSON array with one item of each annotated type."""
     hints = get_type_hints(cls)
     for key in values:
         hint = hints[key]
         kinds = get_args(hint) if isinstance(hint, UnionType) else (hint,)
         try:
-            typed_field(values, key, tuple(get_origin(k) or k for k in kinds))
+            value = typed_field(values, key, tuple(
+                list if get_origin(k) is tuple else get_origin(k) or k for k in kinds))
+            if get_origin(hint) is tuple:
+                item_kinds = get_args(hint)
+                if len(value) != len(item_kinds):
+                    raise TypeError(f"field '{key}' must be a JSON array of "
+                                    f"{len(item_kinds)} items, not {json.dumps(value)}")
+                for item, kind in zip(value, item_kinds):
+                    typed_field({key: item}, key, kind)
         except TypeError as exc:
             raise PlanError(f"{where}{exc}") from None
+
+
+def _check_corpus_spec(where: str, spec: str | dict | None) -> None:
+    """An inline corpus spec is ``{"synthetic": {...}}`` holding the fields
+    of a ``SyntheticConfig``; a path or None is checked when it is read."""
+    if not isinstance(spec, dict):
+        return
+    if set(spec) != {"synthetic"}:
+        raise PlanError(f"{where} must be a path or an object with the one key "
+                        f"'synthetic', not {json.dumps(spec)}")
+    try:
+        synthetic = typed_field(spec, "synthetic", dict)
+    except TypeError as exc:
+        raise PlanError(f"{where} {exc}") from None
+    _check_config(f"{where} synthetic spec", synthetic, SyntheticConfig, set())
+    for f in fields(SyntheticConfig):
+        if f.default is MISSING and f.name not in synthetic:
+            raise PlanError(f"{where} synthetic spec is missing key {f.name!r}")
+
+
+def _check_vocab(vocab: dict) -> None:
+    """A plan's ``vocab`` object may set only ``size``, an integer of at
+    least the reserved symbols' count."""
+    unknown = sorted(set(vocab) - {"size"})
+    if unknown:
+        raise PlanError(f"'vocab' has unknown key {unknown[0]!r} (allowed: size)")
+    try:
+        size = typed_field(vocab, "size", int, VOCAB_SIZE)
+    except TypeError as exc:
+        raise PlanError(f"'vocab' {exc}") from None
+    if size < len(RESERVED):
+        raise PlanError(f"'vocab' field 'size' must be at least {len(RESERVED)}, not {size}")
 
 
 def load_plan(path: str) -> ExperimentPlan:

@@ -72,19 +72,14 @@ def span_to_chars(token_span: tuple[int, int], seq: InputSequence, essay: str) -
     """Character span of the original essay covered by the token span
     (inclusive positions); includes any text between the tokens."""
     start_pos, end_pos = token_span
-    first = seq.token_at(start_pos)
-    last = seq.token_at(end_pos)
-    for tok in (first, last):
-        if tok.is_special or tok.segment != "essay":
-            raise ValidationError(
-                f"token at position {start_pos if tok is first else end_pos} "
-                "has no essay offsets"
-            )
-    return ResponseSpan(
-        char_start=first.char_start,
-        char_end=last.char_end,
-        text=essay[first.char_start: last.char_end],
-    )
+    for pos in token_span:
+        if not seq.essay_start_pos <= pos <= seq.tau:
+            raise ValidationError(f"position {pos} is outside the essay region "
+                                  f"[{seq.essay_start_pos}, {seq.tau}]")
+    char_start = seq.char_starts[start_pos - 1]
+    char_end = seq.char_ends[end_pos - 1]
+    return ResponseSpan(char_start=char_start, char_end=char_end,
+                        text=essay[char_start:char_end])
 
 
 def locate_response(dist: SpanDistributions, seq: InputSequence, scores: ScoreBundle,

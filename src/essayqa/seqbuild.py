@@ -17,9 +17,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 
 from .errors import OversizedQuestionError, ValidationError, VocabularyError, read_text
-from .qnorm import _WORD_RE, NormalizedQuestion, split_words
+from .qnorm import _WORD_RE, NormalizedQuestion
 
 CLS = "[CLS]"
 SEP = "[SEP]"
@@ -51,9 +52,9 @@ class Vocabulary:
         # Tokenization is a pure function of (text, vocabulary), so each
         # vocabulary caches its own results: raw word -> ((id, piece, start,
         # end), ...) relative to the word, or None for [UNK]; and the last
-        # essay that assemble() tokenized, as (essay, tokens).
+        # essay that assemble() tokenized, as (essay, its token columns).
         self._word_memo: dict[str, tuple[tuple[int, str, int, int], ...] | None] = {}
-        self._last_essay: tuple[str, tuple[Token, ...]] | None = None
+        self._last_essay: tuple[str, Columns] | None = None
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -111,6 +112,10 @@ class Token:
         return self.char_start is None
 
 
+# A tokenized text as parallel columns: (ids, surfaces, char_starts, char_ends).
+Columns = tuple[tuple[int, ...], tuple[str, ...], tuple[int, ...], tuple[int, ...]]
+
+
 def _lower_preserving_length(text: str) -> str:
     # str.lower() can change length for a few Unicode characters; keep offsets
     # valid.  ASCII is safe to lower whole: Final-Sigma needs non-ASCII.
@@ -126,22 +131,32 @@ def tokenize(text: str, vocab: Vocabulary, segment: str = "essay") -> list[Token
     to a single [UNK] covering the whole word.  Offsets index the original
     text (end exclusive).
     """
+    return list(map(Token, *_token_columns(text, vocab), repeat(segment)))
+
+
+def _token_columns(text: str, vocab: Vocabulary) -> Columns:
+    """``tokenize(text, vocab)`` as columns, without a Token per token."""
     memo = vocab._word_memo
     unk_id = vocab.unk_id
-    tokens: list[Token] = []
-    for word, start, end in split_words(text):
+    rows: list[tuple[int, str, int, int]] = []
+    add = rows.append
+    for match in _WORD_RE.finditer(text):
+        word = match.group()
         pieces = memo.get(word, _MISSING)
         if pieces is _MISSING:
             pieces = _word_pieces(word, vocab)
             if len(memo) >= WORD_MEMO_CAP:
                 memo.clear()
             memo[word] = pieces
+        start = match.start()
         if pieces is None:
-            tokens.append(Token(unk_id, UNK, start, end, segment))
+            add((unk_id, UNK, start, match.end()))
             continue
         for piece_id, piece, lo, hi in pieces:
-            tokens.append(Token(piece_id, piece, start + lo, start + hi, segment))
-    return tokens
+            add((piece_id, piece, start + lo, start + hi))
+    if not rows:
+        return (), (), (), ()
+    return tuple(zip(*rows))
 
 
 def _word_pieces(word: str, vocab: Vocabulary) -> tuple[tuple[int, str, int, int], ...] | None:
@@ -165,20 +180,27 @@ def _word_pieces(word: str, vocab: Vocabulary) -> tuple[tuple[int, str, int, int
     return tuple(pieces)
 
 
-def _essay_tokens(essay: str, vocab: Vocabulary) -> tuple[Token, ...]:
-    """Essay-segment tokens, reused while consecutive calls share the essay
-    (the requirements of one request, or examples sharing a context)."""
+def _essay_columns(essay: str, vocab: Vocabulary) -> Columns:
+    """The essay's token columns, reused while consecutive calls share the
+    essay (the requirements of one request, or examples sharing a context)."""
     last = vocab._last_essay
     if last is not None and last[0] == essay:
         return last[1]
-    tokens = tuple(tokenize(essay, vocab, segment="essay"))
-    vocab._last_essay = (essay, tokens)
-    return tokens
+    columns = _token_columns(essay, vocab)
+    vocab._last_essay = (essay, columns)
+    return columns
 
 
 @dataclass(frozen=True)
 class InputSequence:
-    tokens: tuple[Token, ...]
+    """T = ([CLS], question, [SEP], essay) as parallel columns, one entry per
+    position; the special symbols have None offsets.  ``tokens`` and
+    ``token_at`` build ``Token`` views on demand."""
+
+    ids: tuple[int, ...]
+    surfaces: tuple[str, ...]
+    char_starts: tuple[int | None, ...]
+    char_ends: tuple[int | None, ...]
     m: int  # question token count
     n: int  # essay token count, post-truncation
     truncated: bool = False
@@ -193,14 +215,18 @@ class InputSequence:
         return self.m + 3
 
     @property
-    def ids(self) -> list[int]:
-        return [t.id for t in self.tokens]
+    def tokens(self) -> tuple[Token, ...]:
+        return tuple(self.token_at(pos) for pos in range(1, self.tau + 1))
 
     def token_at(self, pos: int) -> Token:
         """Token at 1-indexed position."""
         if not 1 <= pos <= self.tau:
             raise IndexError(f"position {pos} outside [1, {self.tau}]")
-        return self.tokens[pos - 1]
+        i = pos - 1
+        segment = ("special" if pos in (1, self.m + 2)
+                   else "question" if pos <= self.m + 1 else "essay")
+        return Token(self.ids[i], self.surfaces[i], self.char_starts[i], self.char_ends[i],
+                     segment)
 
 
 def assemble(
@@ -218,25 +244,23 @@ def assemble(
     if not essay:
         raise ValidationError("essay must be nonempty")
 
-    q_tokens = tokenize(question_text, vocab, segment="question")
-    m = len(q_tokens)
+    q_ids, q_surfaces, q_starts, q_ends = _token_columns(question_text, vocab)
+    m = len(q_ids)
     if m + 2 >= max_len:
         raise OversizedQuestionError(
             f"question occupies {m} tokens; no essay token fits in max_len={max_len}"
         )
-    e_tokens = _essay_tokens(essay, vocab)
+    e_ids, e_surfaces, e_starts, e_ends = _essay_columns(essay, vocab)
     budget = max_len - m - 2
-    truncated = len(e_tokens) > budget
-    if truncated:
-        e_tokens = e_tokens[:budget]
-
-    tokens = (
-        Token(vocab.cls_id, CLS, segment="special"),
-        *q_tokens,
-        Token(vocab.sep_id, SEP, segment="special"),
-        *e_tokens,
+    truncated = len(e_ids) > budget
+    n = budget if truncated else len(e_ids)
+    return InputSequence(
+        ids=(vocab.cls_id, *q_ids, vocab.sep_id, *e_ids[:n]),
+        surfaces=(CLS, *q_surfaces, SEP, *e_surfaces[:n]),
+        char_starts=(None, *q_starts, None, *e_starts[:n]),
+        char_ends=(None, *q_ends, None, *e_ends[:n]),
+        m=m, n=n, truncated=truncated,
     )
-    return InputSequence(tokens=tokens, m=m, n=len(e_tokens), truncated=truncated)
 
 
 def build_vocab(texts: list[str], size: int = VOCAB_SIZE) -> Vocabulary:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import logging
 import os
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -87,14 +88,17 @@ class TrainingExample:
 
 def char_span_to_positions(seq, char_start: int, char_end: int) -> tuple[int, int] | None:
     """1-indexed (start, end) positions of the essay tokens overlapping the
-    character range, or None when no essay token survives (truncation)."""
-    hits = [
-        pos for pos in range(seq.essay_start_pos, seq.tau + 1)
-        if (tok := seq.token_at(pos)).char_start < char_end and tok.char_end > char_start
-    ]
-    if not hits:
+    character range, or None when no essay token survives (truncation).
+
+    Essay tokens are in text order and do not overlap, so both offset columns
+    ascend: the overlapping tokens are the run from the first one ending after
+    ``char_start`` to the last one starting before ``char_end``."""
+    lo = seq.essay_start_pos - 1  # 0-indexed first essay token
+    first = bisect_right(seq.char_ends, char_start, lo)
+    last = bisect_left(seq.char_starts, char_end, lo) - 1
+    if first > last:
         return None
-    return hits[0], hits[-1]
+    return first + 1, last + 1
 
 
 def prepare_examples(corpus: list[QAExample], vocab: Vocabulary, rules: RewriteRuleSet,
@@ -121,7 +125,7 @@ def prepare_examples(corpus: list[QAExample], vocab: Vocabulary, rules: RewriteR
                 gold_start, gold_end = span
                 answerable = True
         prepared.append(TrainingExample(
-            ids=tuple(seq.ids),
+            ids=seq.ids,
             m=seq.m,
             gold_start=gold_start,
             gold_end=gold_end,

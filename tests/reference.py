@@ -8,6 +8,7 @@ computation paths.
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 
@@ -132,3 +133,62 @@ def recount_overlap_f1(pred_tokens, gold_tokens):
     p = overlap / len(pred_tokens)
     r = overlap / len(gold_tokens)
     return p, r, 2 * p * r / (p + r)
+
+
+_REF_WORD_RE = re.compile(r"[A-Za-z0-9]+|[^\sA-Za-z0-9]")
+
+
+def ref_tokenize(text, terms, segment):
+    """Greedy longest-match subword tokens, one ``Token`` built per token
+    with no memo: a word with an unmatched position is one [UNK]."""
+    from essayqa.seqbuild import RESERVED, UNK, Token
+
+    index = {t: i for i, t in enumerate(terms)}
+    tokens = []
+    for match in _REF_WORD_RE.finditer(text):
+        word, base = match.group(0), match.start()
+        lowered = "".join(c.lower() if len(c.lower()) == 1 else c for c in word)
+        pieces, pos = [], 0
+        while pos < len(lowered):
+            for end in range(len(lowered), pos, -1):
+                piece = lowered[pos:end]
+                if piece in index and piece not in RESERVED:
+                    pieces.append(Token(index[piece], piece, base + pos, base + end, segment))
+                    pos = end
+                    break
+            else:
+                pieces = [Token(index[UNK], UNK, base, match.end(), segment)]
+                break
+        tokens.extend(pieces)
+    return tokens
+
+
+def ref_assemble(question, essay, terms, max_len):
+    """(tokens, m, n, truncated) of [CLS] question [SEP] essay as one Token
+    per position, the essay cut from the end so tau <= max_len; None when
+    the question leaves no room for an essay token."""
+    from essayqa.seqbuild import CLS, SEP, Token
+
+    q_tokens = ref_tokenize(question, terms, "question")
+    m = len(q_tokens)
+    if m + 2 >= max_len:
+        return None
+    e_tokens = ref_tokenize(essay, terms, "essay")
+    budget = max_len - m - 2
+    truncated = len(e_tokens) > budget
+    e_tokens = e_tokens[:budget]
+    tokens = (Token(terms.index(CLS), CLS, segment="special"), *q_tokens,
+              Token(terms.index(SEP), SEP, segment="special"), *e_tokens)
+    return tokens, m, len(e_tokens), truncated
+
+
+def ref_char_span_to_positions(seq, char_start, char_end):
+    """Linear scan: first and last essay position whose token overlaps the
+    character range, or None."""
+    hits = [
+        pos for pos in range(seq.essay_start_pos, seq.tau + 1)
+        if (tok := seq.token_at(pos)).char_start < char_end and tok.char_end > char_start
+    ]
+    if not hits:
+        return None
+    return hits[0], hits[-1]

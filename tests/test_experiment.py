@@ -161,6 +161,74 @@ class TestPlanFile:
         assert err == (f"error: {path}: 'train' field 'epochs' must be a JSON integer, "
                        f"not \"2\"\n")
 
+    @pytest.mark.parametrize("spec, message", [
+        ({"synthetic": {"cout": 20}}, "synthetic spec has unknown key 'cout'"),
+        ({"synthetic": {"count": "20"}},
+         "synthetic spec field 'count' must be a JSON integer, not \"20\""),
+        ({"synthetic": {"count": 20, "answer_len_band": [25]}},
+         "synthetic spec field 'answer_len_band' must be a JSON array of 2 items"),
+        ({"synthetic": {"count": 20, "answer_len_band": [25, "100"]}},
+         "synthetic spec field 'answer_len_band' must be a JSON integer"),
+        ({"synthetic": {"seed": 1}}, "synthetic spec is missing key 'count'"),
+        ({"synthetic": [20]}, "field 'synthetic' must be a JSON object"),
+        ({"synth": {"count": 20}}, "must be a path or an object with the one key 'synthetic'"),
+    ])
+    @pytest.mark.parametrize("where", ["eval_corpus", "corpus", "dev"])
+    def test_bad_synthetic_spec_rejected(self, tmp_path, where, spec, message):
+        stage = {"name": "a", "corpus": "a.jsonl"}
+        plan_obj = {"stages": [stage], "eval_corpus": "test.jsonl"}
+        if where == "eval_corpus":
+            plan_obj[where] = spec
+            label = "'eval_corpus'"
+        else:
+            stage[where] = spec
+            label = f"stage 'a' '{where}'"
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(plan_obj), encoding="utf-8")
+        with pytest.raises(PlanError) as info:
+            load_plan(str(path))
+        assert str(info.value).startswith(f"{path}: {label}")
+        assert message in str(info.value)
+
+    def test_synthetic_spec_with_every_field_accepted(self):
+        spec = {"count": 4, "answerable_ratio": 0.5, "seed": 2, "bank": "domain",
+                "noise_rate": 0.0, "requirements_per_essay": 3, "min_sentences": 3,
+                "max_sentences": 8, "answer_len_band": [25, 100], "id_prefix": "x"}
+        plan = ExperimentPlan(stages=[PlanStage(name="a", corpus={"synthetic": spec})],
+                              eval_corpus={"synthetic": spec})
+        assert len(resolve_corpus(plan.eval_corpus)) == 4
+
+    @pytest.mark.parametrize("vocab, message", [
+        ({"size": "4000"}, "'vocab' field 'size' must be a JSON integer, not \"4000\""),
+        ({"size": True}, "'vocab' field 'size' must be a JSON integer, not true"),
+        ({"size": 3}, "'vocab' field 'size' must be at least 4, not 3"),
+        ({"sise": 4000}, "'vocab' has unknown key 'sise' (allowed: size)"),
+    ])
+    def test_bad_vocab_rejected(self, tmp_path, vocab, message):
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps({"vocab": vocab, "stages": [{"name": "a", "corpus": "a.jsonl"}],
+                                    "eval_corpus": "test.jsonl"}), encoding="utf-8")
+        with pytest.raises(PlanError) as info:
+            load_plan(str(path))
+        assert str(info.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("eval_corpus", {"synthetic": {"cout": 20}},
+         "'eval_corpus' synthetic spec has unknown key 'cout'"),
+        ("vocab", {"size": "4000"}, "'vocab' field 'size' must be a JSON integer"),
+    ])
+    def test_cli_names_bad_spec_before_reading_corpora(self, tmp_path, capsys, key, value,
+                                                       message):
+        from essayqa.cli import cli_main
+
+        plan_obj = {"stages": [{"name": "a", "corpus": "absent.jsonl"}],
+                    "eval_corpus": "absent.jsonl", key: value}
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(plan_obj), encoding="utf-8")
+        assert cli_main(["experiment", "--plan", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: {message}")
+
     def test_no_stages_rejected(self):
         with pytest.raises(PlanError):
             ExperimentPlan(stages=[], eval_corpus="x.jsonl")

@@ -139,17 +139,16 @@ class TestEvaluateTokenizesOnce:
         request = EvaluationRequest(
             essay=essay, requirements=(probe[0].question, long_question, probe[1].question),
             model=model)
-        essay_tokenizations = []
-        real_tokenize = seqbuild.tokenize
+        tokenized = []
+        real_token_columns = seqbuild._token_columns
 
-        def counting(text, vocab, segment="essay"):
-            if segment == "essay":
-                essay_tokenizations.append(text)
-            return real_tokenize(text, vocab, segment)
+        def counting(text, vocab):
+            tokenized.append(text)
+            return real_token_columns(text, vocab)
 
-        monkeypatch.setattr(seqbuild, "tokenize", counting)
+        monkeypatch.setattr(seqbuild, "_token_columns", counting)
         built = self._captured(monkeypatch, request)
-        assert essay_tokenizations == [essay]
+        assert tokenized.count(essay) == 1
         monkeypatch.undo()
         expected = self._independent(request, max_len)
         for got, want in zip(built, expected):

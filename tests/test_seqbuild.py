@@ -24,6 +24,8 @@ from essayqa.seqbuild import (
     tokenize,
 )
 
+from reference import ref_assemble, ref_tokenize
+
 
 class TestTokenize:
     def test_empty_text(self, tiny_vocab):
@@ -342,3 +344,40 @@ class TestTokenizationReuse:
         assert errors == []
         # each thread adds at most one word between the size check and the store
         assert len(shared._word_memo) <= 16 + len(threads)
+
+
+class TestColumnsMatchPerToken:
+    """assemble() builds columns and Token views on demand; everything it
+    shows must equal the one-Token-per-token build of the reference."""
+
+    @given(st.lists(memo_texts().filter(str.strip), min_size=1, max_size=3),
+           st.lists(memo_texts().filter(str.strip), min_size=1, max_size=3),
+           st.integers(min_value=3, max_value=40))
+    @example(["İ Σ zzz"], ["İstanbul ΟΔΟΣ x?y qqq " * 4], 12)  # [UNK], lowering, cut
+    @example(["travel " * 12], ["japan"], 12)                      # oversized question
+    @example(["meet"], ["japan dog", "dog japan"], 40)             # same length, new essay
+    @settings(max_examples=150, deadline=None)
+    def test_sequence_matches_reference(self, questions, essays, max_len):
+        vocab = Vocabulary(MEMO_TERMS)
+        for essay in essays:
+            for question in questions:  # the essay repeats: served from the reuse cache
+                want = ref_assemble(question, essay, MEMO_TERMS, max_len)
+                if want is None:
+                    with pytest.raises(OversizedQuestionError):
+                        assemble(question, essay, vocab, max_len=max_len)
+                    continue
+                tokens, m, n, truncated = want
+                seq = assemble(question, essay, vocab, max_len=max_len)
+                assert seq.ids == tuple(t.id for t in tokens)
+                assert (seq.m, seq.n, seq.truncated, seq.tau) == (m, n, truncated, len(tokens))
+                assert seq.tokens == tokens
+                assert [seq.token_at(pos) for pos in range(1, seq.tau + 1)] == list(tokens)
+                for pos in (0, seq.tau + 1):
+                    with pytest.raises(IndexError):
+                        seq.token_at(pos)
+
+    @given(memo_texts(), st.sampled_from(["essay", "question"]))
+    @settings(max_examples=100, deadline=None)
+    def test_tokenize_matches_reference(self, text, segment):
+        assert tokenize(text, Vocabulary(MEMO_TERMS), segment) == \
+            ref_tokenize(text, MEMO_TERMS, segment)

@@ -7,22 +7,25 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from essayqa.checkpoint import MAGIC, load_model, save_model
 from essayqa.cli import cli_main
 from essayqa.corpus import GoldAnswer, QAExample
 from essayqa.encoder import encode
-from essayqa.errors import CheckpointError, ValidationError
+from essayqa.errors import CheckpointError, OversizedQuestionError, ValidationError
 from essayqa.heads import span_probabilities, verifier_logits
 from essayqa.model import new_model, param_shapes
 from essayqa.qnorm import RewriteRuleSet
-from essayqa.seqbuild import build_vocab
+from essayqa.seqbuild import assemble, build_vocab
 from essayqa.synthetic import SyntheticConfig, generate_synthetic
 from essayqa.train import (
     Adam,
     Stage,
     TrainConfig,
     TrainingExample,
+    char_span_to_positions,
     length_sorted_parts,
     loss_and_grads,
     multi_stage_train,
@@ -31,7 +34,7 @@ from essayqa.train import (
     train_stage,
 )
 
-from reference import ref_example_loss
+from reference import ref_char_span_to_positions, ref_example_loss
 
 RULES = RewriteRuleSet()
 
@@ -45,6 +48,40 @@ def desk_model(examples, seed=0, **overrides):
 def small_corpus(count=16, seed=1, ratio=0.75):
     return generate_synthetic(SyntheticConfig(count=count, answerable_ratio=ratio,
                                               seed=seed))
+
+
+SPAN_VOCAB = build_vocab(["I will travel to Japan in the summer"], size=40)
+
+
+class TestCharSpanToPositions:
+    """The bisection over the offset columns against the linear scan."""
+
+    @given(st.lists(st.sampled_from(["I", "will", "travel", "to", "Japan", "summer", "zzq",
+                                     "Unterwegs", "Japanese", "?", ",", "  "]),
+                    min_size=1, max_size=12),
+           st.integers(min_value=3, max_value=14))
+    @example(["travel", "  ", "Japan", "?"], 5)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_linear_scan(self, words, max_len):
+        # every character range: token edges, gaps between tokens, ranges
+        # past the truncation cut, empty and reversed ranges
+        essay = " ".join(words)
+        try:
+            seq = assemble("will travel", essay, SPAN_VOCAB, max_len=max_len)
+        except OversizedQuestionError:
+            return
+        for lo in range(-1, len(essay) + 2):
+            for hi in range(lo - 1, len(essay) + 2):
+                assert char_span_to_positions(seq, lo, hi) == \
+                    ref_char_span_to_positions(seq, lo, hi), (lo, hi)
+
+    def test_truncated_away_is_none(self):
+        essay = "I will travel to Japan in the summer"
+        seq = assemble("will", essay, SPAN_VOCAB, max_len=6)  # keeps "I will travel"
+        assert seq.truncated and seq.n == 3
+        assert char_span_to_positions(seq, essay.index("Japan"), len(essay)) is None
+        assert char_span_to_positions(seq, 2, 6) == (5, 5)
+        assert char_span_to_positions(seq, 6, 7) is None  # the gap after "will"
 
 
 class TestPrepareExamples:
@@ -66,7 +103,6 @@ class TestPrepareExamples:
         corpus = [ex for ex in small_corpus(30) if ex.answerable][:5]
         model = desk_model(corpus)
         from essayqa.qnorm import normalize
-        from essayqa.seqbuild import assemble
 
         prepared, _ = prepare_examples(corpus, model.vocab, RULES,
                                        model.config.max_len)
