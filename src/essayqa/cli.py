@@ -117,8 +117,7 @@ def _cmd_train(args) -> int:
     model.rv_beta1 = args.beta1
     model.rv_beta2 = args.beta2
     model.zeta = args.zeta
-    stage = Stage(name="train", corpus=train_corpus, dev=dev,
-                  dev_fraction=0.0 if dev else args.dev_fraction)
+    stage = Stage(name="train", corpus=train_corpus, dev=dev, dev_fraction=args.dev_fraction)
     model, infos = multi_stage_train(model, [stage], cfg)
     save_model(model, args.out)
     info = infos[0]

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .seqbuild import InputSequence
+from .seqbuild import MAX_INPUT_LEN, InputSequence
 
 _M_TOP_PAD = -2  # glibc <malloc.h>
 _TOP_PAD_BYTES = 64 * 2 ** 20
@@ -65,7 +65,7 @@ class EncoderConfig:
     d_model: int = 64
     heads: int = 4
     ffn_inner: int = 256
-    max_len: int = 512
+    max_len: int = MAX_INPUT_LEN
     seed: int = 0
     use_residual_norm: bool = True
     dtype: str = "float64"

@@ -206,22 +206,13 @@ def _check_config(where: str, values: dict, config_cls, reserved: set[str]) -> N
 
 def _check_types(where: str, values: dict, cls) -> None:
     """Each value must be a JSON value of the type annotated on ``cls``'s
-    field of that name (``corpus.typed_field``'s rules); a tuple field reads
-    a JSON array with one item of each annotated type."""
+    field of that name (``corpus.typed_field``'s rules)."""
     hints = get_type_hints(cls)
     for key in values:
         hint = hints[key]
         kinds = get_args(hint) if isinstance(hint, UnionType) else (hint,)
         try:
-            value = typed_field(values, key, tuple(
-                list if get_origin(k) is tuple else get_origin(k) or k for k in kinds))
-            if get_origin(hint) is tuple:
-                item_kinds = get_args(hint)
-                if len(value) != len(item_kinds):
-                    raise TypeError(f"field '{key}' must be a JSON array of "
-                                    f"{len(item_kinds)} items, not {json.dumps(value)}")
-                for item, kind in zip(value, item_kinds):
-                    typed_field({key: item}, key, kind)
+            typed_field(values, key, tuple(get_origin(k) or k for k in kinds))
         except TypeError as exc:
             raise PlanError(f"{where}{exc}") from None
 

@@ -107,10 +107,6 @@ class Token:
     char_end: int | None = None
     segment: str = "essay"  # "special" | "question" | "essay"
 
-    @property
-    def is_special(self) -> bool:
-        return self.char_start is None
-
 
 # A tokenized text as parallel columns: (ids, surfaces, char_starts, char_ends).
 Columns = tuple[tuple[int, ...], tuple[str, ...], tuple[int, ...], tuple[int, ...]]

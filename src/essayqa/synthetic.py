@@ -235,6 +235,13 @@ BANKS = {
 }
 
 
+# The surrogate's fixed shape: requirements per essay (one prompt sheet),
+# the sentence-count band of an essay body and the answer length band.
+REQUIREMENTS_PER_ESSAY = 3
+SENTENCES_PER_ESSAY = (3, 8)
+ANSWER_LEN_BAND = (25, 100)
+
+
 @dataclass(frozen=True)
 class SyntheticConfig:
     count: int
@@ -242,10 +249,6 @@ class SyntheticConfig:
     seed: int = 0
     bank: str = "domain"
     noise_rate: float = 0.0
-    requirements_per_essay: int = 3
-    min_sentences: int = 3
-    max_sentences: int = 8
-    answer_len_band: tuple[int, int] = (25, 100)
     id_prefix: str = "syn"
 
     def validate(self) -> None:
@@ -257,16 +260,6 @@ class SyntheticConfig:
             raise ValidationError(f"unknown template bank {self.bank!r}")
         if not 0.0 <= self.noise_rate <= 1.0:
             raise ValidationError("noise_rate must be in [0, 1]")
-        if self.requirements_per_essay < 1:
-            raise ValidationError("requirements_per_essay must be >= 1")
-        if not 1 <= self.min_sentences <= self.max_sentences:
-            raise ValidationError("bad sentence count band")
-
-
-@dataclass
-class GeneratorReport:
-    answer_lengths: list[int]
-    answerable_count: int
 
 
 def _fill(template_text: str, values: dict[str, str]) -> str:
@@ -306,7 +299,7 @@ def _pick(rng: np.random.Generator, options: tuple[str, ...]) -> str:
     return options[int(rng.integers(0, len(options)))]
 
 
-def generate_synthetic_with_report(cfg: SyntheticConfig) -> tuple[list[QAExample], GeneratorReport]:
+def generate_synthetic(cfg: SyntheticConfig) -> list[QAExample]:
     """Deterministically build `cfg.count` (essay, question) examples.
 
     Exactly round(count * answerable_ratio) examples are answerable: flags
@@ -316,10 +309,6 @@ def generate_synthetic_with_report(cfg: SyntheticConfig) -> tuple[list[QAExample
     cfg.validate()
     rng = np.random.default_rng(cfg.seed)
     templates, fillers = BANKS[cfg.bank]
-    if cfg.requirements_per_essay > len(templates):
-        raise ValidationError(
-            f"requirements_per_essay > {len(templates)} templates in bank {cfg.bank!r}"
-        )
 
     n_answerable = int(round(cfg.count * cfg.answerable_ratio))
     flags = np.zeros(cfg.count, dtype=bool)
@@ -327,10 +316,9 @@ def generate_synthetic_with_report(cfg: SyntheticConfig) -> tuple[list[QAExample
     rng.shuffle(flags)
 
     examples: list[QAExample] = []
-    lengths: list[int] = []
     index = 0
     while index < cfg.count:
-        group = min(cfg.requirements_per_essay, cfg.count - index)
+        group = min(REQUIREMENTS_PER_ESSAY, cfg.count - index)
         chosen = rng.choice(len(templates), size=group, replace=False)
         parts: list[tuple[Template, dict[str, str], bool]] = []
         for j in range(group):
@@ -347,14 +335,14 @@ def generate_synthetic_with_report(cfg: SyntheticConfig) -> tuple[list[QAExample
         for j, (t, values, answerable) in enumerate(parts):
             if answerable:
                 sent = _capitalize(_fill(t.response, values))
-                lo, hi = cfg.answer_len_band
+                lo, hi = ANSWER_LEN_BAND
                 if not lo <= len(sent) <= hi:
                     raise ValidationError(
                         f"template {t.name!r} produced a {len(sent)}-char answer "
                         f"outside the {lo}-{hi} band: {sent!r}"
                     )
                 responses.append((sent + ".", j))
-        total = int(rng.integers(cfg.min_sentences, cfg.max_sentences + 1))
+        total = int(rng.integers(SENTENCES_PER_ESSAY[0], SENTENCES_PER_ESSAY[1] + 1))
         n_fillers = max(total - len(responses), 1)
         filler_idx = rng.choice(len(fillers), size=min(n_fillers, len(fillers)), replace=False)
         sentences: list[tuple[str, int | None]] = [
@@ -385,7 +373,6 @@ def generate_synthetic_with_report(cfg: SyntheticConfig) -> tuple[list[QAExample
             gold: tuple[GoldAnswer, ...] = ()
             if answerable:
                 gold = (gold_by_part[j],)
-                lengths.append(len(gold_by_part[j].text))
             examples.append(QAExample(
                 example_id=f"{cfg.id_prefix}-{cfg.bank}-{cfg.seed}-{index + j:06d}",
                 question=question,
@@ -397,10 +384,4 @@ def generate_synthetic_with_report(cfg: SyntheticConfig) -> tuple[list[QAExample
 
     for ex in examples:
         ex.validate()
-    report = GeneratorReport(answer_lengths=lengths, answerable_count=int(n_answerable))
-    return examples, report
-
-
-def generate_synthetic(cfg: SyntheticConfig) -> list[QAExample]:
-    examples, _ = generate_synthetic_with_report(cfg)
     return examples

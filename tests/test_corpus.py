@@ -1,5 +1,6 @@
 """Corpus loading/validation, statistics, and the synthetic generator."""
 
+import hashlib
 import json
 
 import pytest
@@ -16,8 +17,8 @@ from essayqa.corpus import (
     write_histogram_csv,
 )
 from essayqa.errors import ValidationError
-from essayqa.synthetic import BANKS, SyntheticConfig, generate_synthetic, \
-    generate_synthetic_with_report
+from essayqa.synthetic import BANKS, REQUIREMENTS_PER_ESSAY, SyntheticConfig, \
+    generate_synthetic
 
 
 def squad_payload():
@@ -217,17 +218,15 @@ class TestStats:
         assert stats.histogram_mass == 0
 
     def test_histogram_mass_equals_gold_answers(self):
-        examples, report = generate_synthetic_with_report(
-            SyntheticConfig(count=300, seed=5))
+        examples = generate_synthetic(SyntheticConfig(count=300, seed=5))
         stats = answer_length_stats(examples)
-        assert stats.histogram_mass == len(report.answer_lengths)
+        assert stats.histogram_mass == sum(len(ex.gold_answers) for ex in examples)
 
     def test_histogram_matches_generator_bookkeeping(self):
-        examples, report = generate_synthetic_with_report(
-            SyntheticConfig(count=200, seed=9))
+        examples = generate_synthetic(SyntheticConfig(count=200, seed=9))
         stats = answer_length_stats(examples, bin_width=5)
         expected_bins = {}
-        for n in report.answer_lengths:
+        for n in (len(ans.text) for ex in examples for ans in ex.gold_answers):
             expected_bins[n // 5] = expected_bins.get(n // 5, 0) + 1
         for bin_start, _, count in stats.answer_length_histogram:
             assert count == expected_bins.get(bin_start // 5, 0)
@@ -332,6 +331,10 @@ class TestSyntheticGenerator:
                 # satisfy this question's template keywords exactly
                 assert all(ex.question not in t for t in answer_texts)
 
+    def test_every_bank_fills_an_essay_with_distinct_templates(self):
+        for templates, _ in BANKS.values():
+            assert len(templates) >= REQUIREMENTS_PER_ESSAY
+
     def test_general_bank_distinct(self):
         domain = generate_synthetic(SyntheticConfig(count=60, seed=1, bank="domain"))
         general = generate_synthetic(SyntheticConfig(count=60, seed=1, bank="general"))
@@ -344,3 +347,22 @@ class TestSyntheticGenerator:
             SyntheticConfig(count=10, answerable_ratio=1.5).validate()
         with pytest.raises(ValidationError):
             SyntheticConfig(count=10, bank="nope").validate()
+
+
+class TestGoldenCorpora:
+    """The saved bytes of the corpora the gates, the recipes and the
+    benchmark workloads train and serve on: a change to the generator that
+    moves any random draw or any text shows here."""
+
+    @pytest.mark.parametrize("cfg, digest", [
+        (SyntheticConfig(count=600, seed=101),
+         "de11c309e56f635b2a8630ee3981f4708addfacaa4724037263fc3ebd9ea3f4e"),
+        (SyntheticConfig(count=600, seed=401, bank="general"),
+         "364fbf1038e024b954d0a0d6de35c5f416b275115e7e727ba0d521dd687d01cf"),
+        (SyntheticConfig(count=600, seed=7, noise_rate=0.1, id_prefix="x"),
+         "8d03eff97484c10a87e5773e5e7c599525827a06f7d933045d3e834cffea81e0"),
+    ], ids=["domain-101", "general-401", "domain-7-noise"])
+    def test_saved_corpus_sha256(self, tmp_path, cfg, digest):
+        path = tmp_path / "corpus.jsonl"
+        save_sed_format(generate_synthetic(cfg), str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest

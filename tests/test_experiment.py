@@ -165,10 +165,10 @@ class TestPlanFile:
         ({"synthetic": {"cout": 20}}, "synthetic spec has unknown key 'cout'"),
         ({"synthetic": {"count": "20"}},
          "synthetic spec field 'count' must be a JSON integer, not \"20\""),
-        ({"synthetic": {"count": 20, "answer_len_band": [25]}},
-         "synthetic spec field 'answer_len_band' must be a JSON array of 2 items"),
-        ({"synthetic": {"count": 20, "answer_len_band": [25, "100"]}},
-         "synthetic spec field 'answer_len_band' must be a JSON integer"),
+        ({"synthetic": {"count": 20, "min_sentences": 3}},
+         "synthetic spec has unknown key 'min_sentences'"),
+        ({"synthetic": {"count": 20, "answer_len_band": [25, 100]}},
+         "synthetic spec has unknown key 'answer_len_band'"),
         ({"synthetic": {"seed": 1}}, "synthetic spec is missing key 'count'"),
         ({"synthetic": [20]}, "field 'synthetic' must be a JSON object"),
         ({"synth": {"count": 20}}, "must be a path or an object with the one key 'synthetic'"),
@@ -192,8 +192,7 @@ class TestPlanFile:
 
     def test_synthetic_spec_with_every_field_accepted(self):
         spec = {"count": 4, "answerable_ratio": 0.5, "seed": 2, "bank": "domain",
-                "noise_rate": 0.0, "requirements_per_essay": 3, "min_sentences": 3,
-                "max_sentences": 8, "answer_len_band": [25, 100], "id_prefix": "x"}
+                "noise_rate": 0.0, "id_prefix": "x"}
         plan = ExperimentPlan(stages=[PlanStage(name="a", corpus={"synthetic": spec})],
                               eval_corpus={"synthetic": spec})
         assert len(resolve_corpus(plan.eval_corpus)) == 4

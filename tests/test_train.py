@@ -1,5 +1,6 @@
-"""Training loop: example preparation, overfit capacity, determinism,
-threshold selection, and multi-stage threading with checkpoint resume."""
+"""Training loop: example preparation, determinism, threshold selection,
+and multi-stage threading with checkpoint resume (overfit capacity is
+acceptance criterion 7)."""
 
 import json
 import struct
@@ -163,25 +164,6 @@ class TestTrainStage:
         with pytest.raises(ValidationError):
             train_stage(model.params, [], model.vocab, RULES, model.config,
                         TrainConfig())
-
-    def test_overfit_16_exact_matches_within_300_steps(self):
-        corpus = small_corpus(16, seed=1, ratio=0.75)
-        model = desk_model(corpus)
-        cfg = TrainConfig(epochs=1000, learning_rate=1e-3, batch_size=16, seed=0,
-                          max_steps=300)
-        result = train_stage(model.params, corpus, model.vocab, RULES,
-                             model.config, cfg)
-        prepared, _ = prepare_examples(corpus, model.vocab, RULES,
-                                       model.config.max_len)
-        hits = 0
-        for ex in prepared:
-            h = encode(list(ex.ids), result.params, model.config)
-            dist = span_probabilities(h, result.params)
-            s = int(np.argmax(dist.prob_start)) + 1
-            e = int(np.argmax(dist.prob_end)) + 1
-            hits += (s == ex.gold_start and e == ex.gold_end)
-        assert hits == len(prepared) == 16
-        assert result.steps <= 300
 
     def test_epoch_curve_improves(self):
         corpus = small_corpus(64, seed=3)
