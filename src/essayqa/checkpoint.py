@@ -22,7 +22,7 @@ from dataclasses import asdict
 import numpy as np
 
 from .encoder import EncoderConfig
-from .errors import CheckpointError
+from .errors import CheckpointError, ValidationError
 from .model import ModelBundle, param_shapes
 from .qnorm import RewriteRuleSet
 from .seqbuild import Vocabulary
@@ -89,7 +89,10 @@ def load_model(path: str) -> ModelBundle:
 
 def _bundle_from_header(path: str, header: dict, fh) -> ModelBundle:
     """The model the header describes, with its tensors read from fh."""
-    config = EncoderConfig(**header["config"])
+    try:
+        config = EncoderConfig(**header["config"])
+    except ValidationError as exc:
+        raise CheckpointError(f"{path}: bad config: {exc}") from exc
     params: dict[str, np.ndarray] = {}
     for entry in header["tensors"]:
         dtype = np.dtype("<" + entry["dtype"])

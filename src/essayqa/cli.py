@@ -172,13 +172,13 @@ def _load_model_arg(args):
             f"no model given: pass --model or set ${DEFAULT_MODEL_ENV}"
         )
     model = load_model(path)
-    if getattr(args, "beta1", None) is not None:
+    if args.beta1 is not None:
         model.rv_beta1 = args.beta1
-    if getattr(args, "beta2", None) is not None:
+    if args.beta2 is not None:
         model.rv_beta2 = args.beta2
-    if getattr(args, "zeta", None) is not None:
+    if args.zeta is not None:
         model.zeta = args.zeta
-    if getattr(args, "vocab", None):
+    if args.vocab:
         external = Vocabulary.load(args.vocab)
         if external.fingerprint() != model.vocab.fingerprint():
             raise EssayQAError(

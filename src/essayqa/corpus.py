@@ -64,10 +64,6 @@ class CorpusStats:
     answer_length_histogram: list[tuple[int, int, int]]  # (bin_start, bin_end, count)
     mean_answer_length_chars: float | None
 
-    @property
-    def histogram_mass(self) -> int:
-        return sum(count for _, _, count in self.answer_length_histogram)
-
 
 _REQUIRED = object()
 

@@ -74,6 +74,8 @@ class EncoderConfig:
         for name in ("vocab_size", "layers", "d_model", "heads", "ffn_inner", "max_len"):
             if getattr(self, name) <= 0:
                 raise ValidationError(f"{name} must be positive")
+        if self.max_len > MAX_INPUT_LEN:
+            raise ValidationError(f"max_len must be at most {MAX_INPUT_LEN}")
         if self.d_model % self.heads != 0:
             raise ValidationError("d_model must be divisible by heads")
         if self.dtype not in DTYPES:

@@ -21,8 +21,8 @@ import numpy as np
 
 from .corpus import QAExample, load_any, typed_field
 from .encoder import EncoderConfig
-from .errors import OversizedQuestionError, PlanError, ValidationError, read_text
-from .locator import OVERSIZED_QUESTION, Verdict
+from .errors import PlanError, ValidationError, read_text
+from .locator import Verdict
 from .model import ModelBundle, new_model
 from .pipeline import infer_verdict, serving_model
 from .qnorm import split_words
@@ -132,17 +132,9 @@ def evaluate_verdicts(verdicts: dict[str, Verdict], gold: list[QAExample],
 
 
 def predict_corpus(model: ModelBundle, examples: list[QAExample]) -> dict[str, Verdict]:
-    """Verdict per example id; an oversized question yields a not-answered
-    verdict without scores rather than aborting the run."""
+    """Verdict per example id."""
     model = serving_model(model)
-    out: dict[str, Verdict] = {}
-    for ex in examples:
-        try:
-            out[ex.example_id] = infer_verdict(model, ex.question, ex.context)
-        except OversizedQuestionError:
-            out[ex.example_id] = Verdict(answered=False, scores=None,
-                                         reason=OVERSIZED_QUESTION)
-    return out
+    return {ex.example_id: infer_verdict(model, ex.question, ex.context) for ex in examples}
 
 
 def evaluate_model(model: ModelBundle, examples: list[QAExample],

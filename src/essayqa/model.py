@@ -4,7 +4,7 @@ model is self-contained."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,15 +35,10 @@ def param_shapes(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
 
 
 def new_model(vocab: Vocabulary, rules: RewriteRuleSet | None = None,
-              config: EncoderConfig | None = None, **config_overrides) -> ModelBundle:
-    """Fresh seeded model; config defaults to the desk-scale setup with the
-    vocabulary size filled in."""
-    if config is None:
-        config = EncoderConfig(vocab_size=len(vocab), **config_overrides)
-    elif config_overrides:
-        config = replace(config, **config_overrides)
-    if config.vocab_size != len(vocab):
-        config = replace(config, vocab_size=len(vocab))
+              **config_overrides) -> ModelBundle:
+    """Fresh seeded model: the desk-scale config with the vocabulary size
+    filled in and ``config_overrides`` applied."""
+    config = EncoderConfig(vocab_size=len(vocab), **config_overrides)
     rng = np.random.default_rng(config.seed)
     params = init_params(param_shapes(config), config, rng)
     return ModelBundle(

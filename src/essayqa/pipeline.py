@@ -15,8 +15,8 @@ from dataclasses import dataclass, replace
 
 from . import heads, locator, qnorm, seqbuild
 from .encoder import encode
-from .errors import ValidationError
-from .locator import Verdict
+from .errors import OversizedQuestionError, ValidationError
+from .locator import OVERSIZED_QUESTION, Verdict
 from .model import ModelBundle
 
 
@@ -79,12 +79,16 @@ def infer_verdict(model: ModelBundle, question: str, essay: str) -> Verdict:
 
     A float64 model is served from its cached float32 copy
     (``serving_model``), so its served layer and head arrays are read-only
-    after the first verdict.
+    after the first verdict.  A question that leaves no room for the essay
+    in ``config.max_len`` positions gets a not-answered verdict without
+    scores, reason ``oversized_question``.
     """
     model = serving_model(model)
     normalized = qnorm.normalize(question, model.rules)
-    seq = seqbuild.assemble(normalized, essay, model.vocab,
-                            max_len=min(model.config.max_len, seqbuild.MAX_INPUT_LEN))
+    try:
+        seq = seqbuild.assemble(normalized, essay, model.vocab, max_len=model.config.max_len)
+    except OversizedQuestionError:
+        return Verdict(answered=False, scores=None, reason=OVERSIZED_QUESTION)
     h_last = encode(seq, model.params, model.config)
     dist = heads.span_probabilities(h_last, model.params)
     scores = heads.verify(dist, h_last[0], model.params,

@@ -36,7 +36,7 @@ from .heads import log_softmax_positions, span_logits, verifier_logits
 from .model import ModelBundle
 from .pipeline import infer_verdict, serving_model
 from .qnorm import RewriteRuleSet, normalize
-from .seqbuild import MAX_INPUT_LEN, Vocabulary, assemble
+from .seqbuild import Vocabulary, assemble
 
 logger = logging.getLogger(__name__)
 
@@ -257,8 +257,7 @@ def train_stage(params: dict[str, np.ndarray], corpus: list[QAExample],
                 enc_cfg: EncoderConfig, cfg: TrainConfig) -> StageResult:
     """One training stage over a corpus; returns fresh parameters (the input
     dict is not mutated) plus the loss curve."""
-    examples, skipped = prepare_examples(corpus, vocab, rules,
-                                         min(enc_cfg.max_len, MAX_INPUT_LEN))
+    examples, skipped = prepare_examples(corpus, vocab, rules, enc_cfg.max_len)
     if not examples:
         raise ValidationError("no trainable examples in corpus")
     params = {k: v.copy() for k, v in params.items()}
@@ -313,9 +312,8 @@ def select_zeta(model: ModelBundle, dev: list[QAExample]) -> float:
     finals: list[float] = []
     golds: list[bool] = []
     for ex in dev:
-        try:
-            verdict = infer_verdict(served, ex.question, ex.context)
-        except OversizedQuestionError:
+        verdict = infer_verdict(served, ex.question, ex.context)
+        if verdict.scores is None:  # oversized question
             continue
         finals.append(verdict.scores.score_final)
         golds.append(ex.answerable)

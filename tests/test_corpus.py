@@ -209,18 +209,19 @@ class TestStats:
         assert stats.mean_answer_length_chars == 7.0
         assert stats.example_count == 1
         assert stats.answerable_count == 1
-        assert stats.histogram_mass == 1
+        assert sum(c for *_, c in stats.answer_length_histogram) == 1
 
     def test_no_answers_mean_absent(self):
         ex = QAExample("a", "q", "ctx", False, ())
         stats = answer_length_stats([ex])
         assert stats.mean_answer_length_chars is None
-        assert stats.histogram_mass == 0
+        assert sum(c for *_, c in stats.answer_length_histogram) == 0
 
     def test_histogram_mass_equals_gold_answers(self):
         examples = generate_synthetic(SyntheticConfig(count=300, seed=5))
         stats = answer_length_stats(examples)
-        assert stats.histogram_mass == sum(len(ex.gold_answers) for ex in examples)
+        assert (sum(c for *_, c in stats.answer_length_histogram)
+                == sum(len(ex.gold_answers) for ex in examples))
 
     def test_histogram_matches_generator_bookkeeping(self):
         examples = generate_synthetic(SyntheticConfig(count=200, seed=9))

@@ -55,6 +55,11 @@ class TestConfig:
         with pytest.raises(ValidationError):
             EncoderConfig(vocab_size=0)
 
+    def test_max_len_capped_at_input_limit(self):
+        assert EncoderConfig(vocab_size=10, max_len=512).max_len == 512
+        with pytest.raises(ValidationError, match="max_len must be at most 512"):
+            EncoderConfig(vocab_size=10, max_len=513)
+
 
 class TestScaledAttention:
     def test_matches_two_loop_reference(self):

@@ -70,14 +70,20 @@ class TestEvaluate:
             evaluate(EvaluationRequest(essay="   ", requirements=("why",),
                                        model=model))
 
-    def test_oversized_question_propagates(self, trained):
-        from essayqa.errors import OversizedQuestionError
-
+    def test_oversized_question_gets_its_own_verdict(self, trained):
         model, _, _ = trained
-        huge = " ".join(["what"] * 600)
-        with pytest.raises(OversizedQuestionError):
-            evaluate(EvaluationRequest(essay="Some essay.", requirements=(huge,),
-                                       model=model))
+        probe = generate_synthetic(SyntheticConfig(count=3, answerable_ratio=1.0,
+                                                   seed=80))
+        essay = probe[0].context
+        requirements = (probe[0].question, " ".join(["what"] * 600), probe[1].question)
+        verdicts = evaluate(EvaluationRequest(essay=essay, requirements=requirements,
+                                              model=model))
+        assert len(verdicts) == 3
+        assert verdicts[1].reason == "oversized_question" and verdicts[1].scores is None
+        for i in (0, 2):
+            single = evaluate(EvaluationRequest(essay=essay, requirements=(requirements[i],),
+                                                model=model))
+            assert verdicts[i] == single[0]
 
     def test_deterministic(self, trained):
         model, _, _ = trained
@@ -289,6 +295,29 @@ class TestCli:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[1] == "huge: not answered (score_final=n/a)"
         assert "score_final=n/a" not in lines[0]
+
+    def test_predict_essay_oversized_requirement_gets_its_record(self, trained, tmp_path,
+                                                                   capsys):
+        model, ckpt, _ = trained
+        probe = generate_synthetic(SyntheticConfig(count=3, answerable_ratio=1.0,
+                                                   seed=81))
+        essay_file = tmp_path / "essay.txt"
+        essay_file.write_text(probe[0].context, encoding="utf-8")
+        req_file = tmp_path / "reqs.txt"
+        req_file.write_text("\n".join([probe[0].question, " ".join(["what"] * 600),
+                                       probe[1].question]), encoding="utf-8")
+        argv = ["predict", "--model", ckpt, "--essay", str(essay_file),
+                "--requirements", str(req_file)]
+        assert run_cli(argv) == 0
+        records = [json.loads(line) for line in
+                   capsys.readouterr().out.strip().splitlines()]
+        assert [rec["question_id"] for rec in records] == ["q1", "q2", "q3"]
+        assert records[1]["reason"] == "oversized_question"
+        assert records[1]["answered"] is False and records[1]["score_final"] is None
+        assert all(isinstance(records[i]["score_final"], float) for i in (0, 2))
+        assert run_cli(argv + ["--pretty"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines[1] == "q2: not answered (score_final=n/a)"
 
     @pytest.mark.parametrize("flag", ["--paper-literal-threshold", "--paper-literal-region"])
     def test_removed_verdict_flags_exit_2(self, trained, tmp_path, capsys, flag):

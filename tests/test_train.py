@@ -308,6 +308,12 @@ class TestSelectZeta:
         model.zeta = 0.37
         assert select_zeta(model, []) == 0.37
 
+    def test_oversized_dev_question_ignored(self):
+        dev = small_corpus(8, seed=3)
+        model = desk_model(dev)
+        huge = QAExample("huge", " ".join(["what"] * 600), dev[0].context, False, ())
+        assert select_zeta(model, dev + [huge]) == select_zeta(model, dev)
+
 
 class TestMultiStage:
     def test_single_stage_equals_train_stage(self):
@@ -488,7 +494,15 @@ class TestMalformedCheckpoint:
         (_header_bytes({"config": {"vocab_size": 8}}), "no field 'tensors'"),
         (_header_bytes({"config": {"vocab_size": 8, "colour": "blue"}, "tensors": []}),
          "colour"),
-    ], ids=["cut-in-header-length", "no-tensors", "unknown-config-key"])
+        # a config EncoderConfig rejects; max_len 1024 is what older builds
+        # accepted before the 512-position cap
+        (_header_bytes({"config": {"vocab_size": 8, "heads": 3, "d_model": 8},
+                        "tensors": []}),
+         "bad.ckpt: bad config: d_model must be divisible by heads"),
+        (_header_bytes({"config": {"vocab_size": 8, "max_len": 1024}, "tensors": []}),
+         "bad.ckpt: bad config: max_len must be at most 512"),
+    ], ids=["cut-in-header-length", "no-tensors", "unknown-config-key",
+            "heads-not-dividing", "max-len-over-cap"])
     def test_rejected_cleanly(self, tmp_path, capsys, content, message):
         path = tmp_path / "bad.ckpt"
         path.write_bytes(content)
