@@ -2,7 +2,14 @@
 
 Forward and backward passes are hand-written so training needs nothing
 beyond numpy.  Shapes follow (B, T, D) = batch, positions, model width;
-attention uses (B, heads, T, d_k).  A single sequence is a batch of one.
+attention uses (B, heads, T, d_k).
+
+Training runs padded batches: each row of (B, T) is one sequence, and a
+mask keeps padded keys out of attention.  Inference runs packs: the rows of
+several sequences stacked with no padding, (1, sum tau), with the row
+bounds of each.  The position-wise work (embedding, projections, residuals,
+LayerNorm, FFN) runs once over all rows, and attention runs on each
+sequence's own rows.  A single sequence is a pack of one.
 
 Sublayer composition per layer, with residual/normalization enabled
 (the default):
@@ -22,6 +29,7 @@ import ctypes
 import math
 import os
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -199,26 +207,42 @@ def _merge_heads(x):
     return x.transpose(0, 2, 1, 3).reshape(b, t, h * dk)
 
 
-def _attn_forward(h_in, p, pre, cfg: EncoderConfig, mask=None):
-    """Multi-head scaled dot-product attention with output projection.
-
-    mask: optional (B, T) boolean, True at real positions; padded key columns
-    are excluded from every softmax row.  The scores are scaled, masked and
-    normalized inside the one (B, heads, T, T) array the matmul returns.
-    Returns (out, weights, cache) with weights (B, heads, T, T).
-    """
-    q = _split_heads(h_in @ p[pre + "w_q"], cfg.heads)
-    k = _split_heads(h_in @ p[pre + "w_k"], cfg.heads)
-    v = _split_heads(h_in @ p[pre + "w_v"], cfg.heads)
+def _attend(q, k, v, cfg: EncoderConfig, mask=None):
+    """(weights, merged context) of softmax(Q K^T / sqrt(d_k)) V.  The scores
+    are scaled, masked and normalized inside the one (B, heads, T, T) array
+    the matmul returns."""
     weights = q @ k.transpose(0, 1, 3, 2)
     weights /= math.sqrt(cfg.d_k)
     if mask is not None:
         np.copyto(weights, _MASKED, where=~mask[:, None, None, :])
     softmax_last(weights, out=weights)
-    ctx = _merge_heads(weights @ v)
+    return weights, _merge_heads(weights @ v)
+
+
+def _attn_forward(h_in, p, pre, cfg: EncoderConfig, mask=None, bounds=None):
+    """Multi-head scaled dot-product attention with output projection.
+
+    mask: optional (B, T) boolean, True at real positions; padded key columns
+    are excluded from every softmax row.  Returns (out, weights, cache) with
+    weights (B, heads, T, T).
+
+    bounds: the row offsets of a pack (B = 1): sequence j holds rows
+    bounds[j]:bounds[j + 1] and attends to those rows only.  It returns
+    (out, None, None): a pack keeps no weights and no cache.
+    """
+    q = _split_heads(h_in @ p[pre + "w_q"], cfg.heads)
+    k = _split_heads(h_in @ p[pre + "w_k"], cfg.heads)
+    v = _split_heads(h_in @ p[pre + "w_v"], cfg.heads)
+    if bounds is None:
+        weights, ctx = _attend(q, k, v, cfg, mask)
+        cache = (h_in, q, k, v, weights, ctx)
+    else:
+        weights = cache = None
+        ctx = np.empty_like(h_in, dtype=v.dtype)
+        for s, e in zip(bounds[:-1], bounds[1:]):
+            _, ctx[:, s:e] = _attend(q[:, :, s:e], k[:, :, s:e], v[:, :, s:e], cfg)
     out = ctx @ p[pre + "w_o"]
     out += p[pre + "b_o"]
-    cache = (h_in, q, k, v, weights, ctx)
     return out, weights, cache
 
 
@@ -285,8 +309,8 @@ def layer_slice(params: dict[str, np.ndarray], i: int) -> dict[str, np.ndarray]:
     return {k[len(pre):]: v for k, v in params.items() if k.startswith(pre)}
 
 
-def _layer_forward(h_prev, p, pre, cfg: EncoderConfig, mask=None):
-    attn_out, _, c_attn = _attn_forward(h_prev, p, pre + "attn.", cfg, mask)
+def _layer_forward(h_prev, p, pre, cfg: EncoderConfig, mask=None, bounds=None):
+    attn_out, _, c_attn = _attn_forward(h_prev, p, pre + "attn.", cfg, mask, bounds)
     if cfg.use_residual_norm:
         attn_out += h_prev
         a, c_ln1 = _ln_forward(attn_out, p[pre + "ln1.gain"], p[pre + "ln1.bias"])
@@ -339,28 +363,39 @@ def encoder_layer(h_prev: np.ndarray, layer_params: dict[str, np.ndarray],
     return out[0]
 
 
-def _embed(ids: np.ndarray, params, cfg: EncoderConfig):
+def _embed(ids: np.ndarray, params, cfg: EncoderConfig, bounds=None):
     if ids.max(initial=0) >= cfg.vocab_size or ids.min(initial=0) < 0:
         raise ValidationError(
             f"token id out of range for vocab_size={cfg.vocab_size}"
         )
-    t = ids.shape[-1]
+    if bounds is None:
+        bounds = [0, ids.shape[-1]]
+    lengths = np.diff(bounds).tolist()
+    t = max(lengths)
     if t > cfg.max_len:
         raise ValidationError(f"sequence length {t} exceeds max_len={cfg.max_len}")
+    x = params["tok_emb"][ids]
+    for start, n in zip(bounds, lengths):  # positions restart at 0 for each sequence
+        x[:, start:start + n] += params["pos_emb"][:n]
     # The tables may be float64 master arrays under a float32 serving config
     # (pipeline.serving_model); only the looked-up rows are cast.
-    return (params["tok_emb"][ids] + params["pos_emb"][:t]).astype(cfg.np_dtype, copy=False)
+    return x.astype(cfg.np_dtype, copy=False)
 
 
 def forward_batch(ids: np.ndarray, params: dict[str, np.ndarray], cfg: EncoderConfig,
-                  mask: np.ndarray | None = None):
-    """Encode a padded id matrix (B, T); returns (H (B, T, d_model), cache)."""
-    h = _embed(ids, params, cfg)
+                  mask: np.ndarray | None = None, bounds: list[int] | None = None):
+    """Encode a padded id matrix (B, T); returns (H (B, T, d_model), cache).
+
+    With ``bounds`` the ids are a pack (1, N) of sequences stacked at those
+    row offsets (``_attn_forward``).  A pack is served, never trained, so
+    its cache is None and each layer's activations are freed as it ends."""
+    h = _embed(ids, params, cfg, bounds)
     layer_caches = []
     for i in range(cfg.layers):
-        h, cache = _layer_forward(h, params, f"layer{i}.", cfg, mask)
-        layer_caches.append(cache)
-    return h, (ids, layer_caches)
+        h, cache = _layer_forward(h, params, f"layer{i}.", cfg, mask, bounds)
+        if bounds is None:
+            layer_caches.append(cache)
+    return h, (ids, layer_caches) if bounds is None else None
 
 
 def backward_batch(dh: np.ndarray, cache, params: dict[str, np.ndarray],
@@ -379,11 +414,20 @@ def backward_batch(dh: np.ndarray, cache, params: dict[str, np.ndarray],
     return grads
 
 
-def encode(seq: InputSequence | list[int] | np.ndarray,
+def encode(seq: InputSequence | list[InputSequence] | list[int] | np.ndarray,
            params: dict[str, np.ndarray], cfg: EncoderConfig) -> np.ndarray:
-    """H^L for one sequence: (tau, d_model).  Deterministic for fixed params."""
-    ids = np.asarray(seq.ids if isinstance(seq, InputSequence) else seq, dtype=np.int64)
-    h, _ = forward_batch(ids[None], params, cfg)
+    """H^L for one sequence, (tau, d_model), or for a list of InputSequences
+    their packed rows, (sum tau, d_model), in list order.  One sequence is a
+    pack of one, so each slice of a pack equals that sequence encoded alone
+    wherever a GEMM's output rows do not depend on the other rows.
+    Deterministic for fixed params."""
+    if isinstance(seq, list) and seq and isinstance(seq[0], InputSequence):
+        ids = np.fromiter(chain.from_iterable(s.ids for s in seq), dtype=np.int64)
+        bounds = np.cumsum([0, *(s.tau for s in seq)]).tolist()
+    else:
+        ids = np.asarray(seq.ids if isinstance(seq, InputSequence) else seq, dtype=np.int64)
+        bounds = [0, ids.shape[-1]]
+    h, _ = forward_batch(ids[None], params, cfg, bounds=bounds)
     return h[0]
 
 

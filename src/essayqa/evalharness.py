@@ -24,7 +24,9 @@ from .encoder import EncoderConfig
 from .errors import PlanError, ValidationError, read_text
 from .locator import Verdict
 from .model import ModelBundle, new_model
-from .pipeline import infer_verdict, serving_model
+# infer_verdict and serving_model are not called here; perfbench/tracer.py and
+# tests/test_serving.py wrap them under this module's name.
+from .pipeline import infer_verdict, infer_verdicts, serving_model  # noqa: F401
 from .qnorm import split_words
 from .seqbuild import RESERVED, VOCAB_SIZE, Vocabulary, build_vocab, tokenize
 from .synthetic import SyntheticConfig, generate_synthetic
@@ -132,9 +134,9 @@ def evaluate_verdicts(verdicts: dict[str, Verdict], gold: list[QAExample],
 
 
 def predict_corpus(model: ModelBundle, examples: list[QAExample]) -> dict[str, Verdict]:
-    """Verdict per example id."""
-    model = serving_model(model)
-    return {ex.example_id: infer_verdict(model, ex.question, ex.context) for ex in examples}
+    """Verdict per example id; consecutive examples share encoder packs."""
+    verdicts = infer_verdicts(model, [(ex.question, ex.context) for ex in examples])
+    return {ex.example_id: v for ex, v in zip(examples, verdicts)}
 
 
 def evaluate_model(model: ModelBundle, examples: list[QAExample],
@@ -178,6 +180,10 @@ class ExperimentPlan:
             raise PlanError("plan needs at least one stage")
         # run_experiment sets seed and vocab_size itself
         _check_config("'model'", self.model, EncoderConfig, {"seed", "vocab_size"})
+        try:  # the values themselves, before any corpus is read
+            EncoderConfig(vocab_size=len(RESERVED), **self.model)
+        except ValidationError as exc:
+            raise PlanError(f"'model' {exc}") from None
         _check_config("'train'", self.train, TrainConfig, {"seed"})
         _check_corpus_spec("'eval_corpus'", self.eval_corpus)
         if isinstance(self.vocab, dict):

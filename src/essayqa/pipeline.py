@@ -2,6 +2,11 @@
 normalize each question, assemble the input sequence, encode, verify, and
 locate the responding span.
 
+Every serving path goes through ``infer_verdicts``.  It encodes consecutive
+sequences as one pack of up to ``_PACK_ROWS`` rows (``encoder.encode`` on a
+list), so a request's requirements share one encoder pass; the heads,
+verification and locating run on each sequence's own rows.
+
 Every verdict is computed in float32.  A float64 model is the master copy
 that training updates and checkpoints store; ``serving_model`` gives the
 float32 copy its verdicts are served from, made once per model and cached
@@ -11,6 +16,7 @@ read-only once served.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 
 from . import heads, locator, qnorm, seqbuild
@@ -74,8 +80,14 @@ def _same_arrays(params: dict, source: tuple) -> bool:
         for (name, arr), (src_name, src_arr) in zip(params.items(), source))
 
 
-def infer_verdict(model: ModelBundle, question: str, essay: str) -> Verdict:
-    """Run the full pipeline for one (question, essay) pair, in float32.
+# Rows of one serving encoder pass: two sequences at the input cap.  A larger
+# pack holds more activation rows at once for little more speed.
+_PACK_ROWS = 2 * seqbuild.MAX_INPUT_LEN
+
+
+def infer_verdicts(model: ModelBundle, pairs: Iterable[tuple[str, str]]) -> list[Verdict]:
+    """Run the full pipeline for each (question, essay) pair, in float32;
+    verdicts in pair order.
 
     A float64 model is served from its cached float32 copy
     (``serving_model``), so its served layer and head arrays are read-only
@@ -84,20 +96,47 @@ def infer_verdict(model: ModelBundle, question: str, essay: str) -> Verdict:
     scores, reason ``oversized_question``.
     """
     model = serving_model(model)
-    normalized = qnorm.normalize(question, model.rules)
-    try:
-        seq = seqbuild.assemble(normalized, essay, model.vocab, max_len=model.config.max_len)
-    except OversizedQuestionError:
-        return Verdict(answered=False, scores=None, reason=OVERSIZED_QUESTION)
-    h_last = encode(seq, model.params, model.config)
-    dist = heads.span_probabilities(h_last, model.params)
-    scores = heads.verify(dist, h_last[0], model.params,
-                          beta1=model.rv_beta1, beta2=model.rv_beta2, zeta=model.zeta)
-    return locator.locate_response(dist, seq, scores, essay)
+    verdicts: list[Verdict | None] = []
+    pack: list[tuple[int, seqbuild.InputSequence, str]] = []
+    rows = 0
+    for question, essay in pairs:
+        normalized = qnorm.normalize(question, model.rules)
+        try:
+            seq = seqbuild.assemble(normalized, essay, model.vocab, max_len=model.config.max_len)
+        except OversizedQuestionError:
+            verdicts.append(Verdict(answered=False, scores=None, reason=OVERSIZED_QUESTION))
+            continue
+        if pack and rows + seq.tau > _PACK_ROWS:
+            _verdict_pack(model, pack, verdicts)
+            pack, rows = [], 0
+        pack.append((len(verdicts), seq, essay))
+        verdicts.append(None)
+        rows += seq.tau
+    if pack:
+        _verdict_pack(model, pack, verdicts)
+    return verdicts
+
+
+def _verdict_pack(model: ModelBundle, pack, verdicts: list) -> None:
+    """Encode the pack's sequences in one pass and fill in their verdicts."""
+    h = encode([seq for _, seq, _ in pack], model.params, model.config)
+    start = 0
+    for i, seq, essay in pack:
+        h_last = h[start:start + seq.tau]
+        start += seq.tau
+        dist = heads.span_probabilities(h_last, model.params)
+        scores = heads.verify(dist, h_last[0], model.params,
+                              beta1=model.rv_beta1, beta2=model.rv_beta2, zeta=model.zeta)
+        verdicts[i] = locator.locate_response(dist, seq, scores, essay)
+
+
+def infer_verdict(model: ModelBundle, question: str, essay: str) -> Verdict:
+    """``infer_verdicts`` for one (question, essay) pair."""
+    return infer_verdicts(model, [(question, essay)])[0]
 
 
 def evaluate(request: EvaluationRequest) -> list[Verdict]:
-    """Verdicts for every requirement, in request order."""
+    """Verdicts for every requirement, in request order; the requirements
+    share encoder packs."""
     request.validate()
-    model = serving_model(request.model)
-    return [infer_verdict(model, req, request.essay) for req in request.requirements]
+    return infer_verdicts(request.model, [(req, request.essay) for req in request.requirements])

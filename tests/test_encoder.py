@@ -2,6 +2,7 @@
 invariants, determinism, padding invariance, bit-identity with the
 out-of-place formulas, peak memory and dtype."""
 
+import functools
 import math
 import os
 import platform
@@ -11,9 +12,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from essayqa import encoder
 from essayqa.encoder import (
+    DTYPES,
     EncoderConfig,
     _merge_heads,
     _split_heads,
@@ -28,6 +32,7 @@ from essayqa.encoder import (
 )
 from essayqa.errors import ValidationError
 from essayqa.heads import init_head_params
+from essayqa.seqbuild import InputSequence
 from essayqa.train import TrainingExample, loss_and_grads
 
 from reference import ref_encoder_layer_no_norm, ref_multi_head_attention
@@ -226,6 +231,51 @@ class TestEncode:
         assert np.all(var > 0.1)
 
 
+def packed_sequence(ids):
+    """An InputSequence of ``ids`` with a one-token question; encode reads
+    only the ids."""
+    n = len(ids)
+    return InputSequence(ids=tuple(int(i) for i in ids), surfaces=("w",) * n,
+                         char_starts=(None,) * n, char_ends=(None,) * n, m=1, n=n - 3)
+
+
+@functools.cache
+def packing_model(dtype):
+    """The default-size encoder, weights redrawn so attention is not flat."""
+    cfg = EncoderConfig(vocab_size=100, seed=11, dtype=dtype)
+    return cfg, full_params(cfg, 0.1)
+
+
+class TestPacking:
+    """A pack runs the position-wise work over all its rows at once, so a
+    BLAS whose GEMM output rows depend on the other rows would move each
+    sequence's H; one sequence is a pack of one."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from(DTYPES), st.lists(st.integers(3, 512), min_size=1, max_size=8),
+           st.integers(0, 2 ** 32 - 1))
+    def test_each_slice_equals_its_sequence_alone(self, dtype, lengths, seed):
+        cfg, params = packing_model(dtype)
+        rng = np.random.default_rng(seed)
+        seqs = [packed_sequence(rng.integers(0, cfg.vocab_size, size=n)) for n in lengths]
+        h = encode(seqs, params, cfg)
+        assert h.shape == (sum(lengths), cfg.d_model) and h.dtype == cfg.np_dtype
+        start = 0
+        for seq in seqs:
+            alone = encode(seq, params, cfg)
+            assert h[start:start + seq.tau].tobytes() == alone.tobytes()
+            assert alone.tobytes() == encode(list(seq.ids), params, cfg).tobytes()
+            start += seq.tau
+
+    def test_pack_may_exceed_max_len_but_no_sequence_may(self):
+        cfg = small_config()
+        params = make_params(cfg)
+        fits = [packed_sequence([4] * cfg.max_len)] * 3
+        assert encode(fits, params, cfg).shape == (3 * cfg.max_len, cfg.d_model)
+        with pytest.raises(ValidationError, match="exceeds max_len"):
+            encode([fits[0], packed_sequence([4] * (cfg.max_len + 1)), fits[0]], params, cfg)
+
+
 class TestSoftmax:
     def test_matches_direct_computation(self):
         x = RNG.normal(size=(4, 7)) * 5
@@ -262,10 +312,16 @@ def ref_softmax(x):
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def ref_attn_forward(h_in, p, pre, cfg, mask=None):
+def ref_attn_forward(h_in, p, pre, cfg, mask=None, bounds=None):
     q = _split_heads(h_in @ p[pre + "w_q"], cfg.heads)
     k = _split_heads(h_in @ p[pre + "w_k"], cfg.heads)
     v = _split_heads(h_in @ p[pre + "w_v"], cfg.heads)
+    if bounds is not None:  # the same formula on each sequence's rows
+        ctx = np.concatenate([
+            _merge_heads(ref_softmax(q[:, :, s:e] @ k[:, :, s:e].transpose(0, 1, 3, 2)
+                                     / math.sqrt(cfg.d_k)) @ v[:, :, s:e])
+            for s, e in zip(bounds[:-1], bounds[1:])], axis=1)
+        return ctx @ p[pre + "w_o"] + p[pre + "b_o"], None, None
     scores = q @ k.transpose(0, 1, 3, 2) / math.sqrt(cfg.d_k)
     if mask is not None:
         scores = np.where(mask[:, None, None, :], scores, -1e30)
@@ -400,6 +456,17 @@ class TestBitIdenticalToOutOfPlace:
 
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     @pytest.mark.parametrize("use_residual_norm", [True, False])
+    @pytest.mark.parametrize("scale", [1.0, 100.0])
+    def test_packed_encode(self, monkeypatch, dtype, use_residual_norm, scale):
+        cfg = bit_config(dtype=dtype, use_residual_norm=use_residual_norm)
+        params = full_params(cfg, 0.5)
+        params["tok_emb"] *= scale
+        pack = [packed_sequence(RNG.integers(0, cfg.vocab_size, size=n)) for n in (3, 32, 9)]
+        ours = encode(pack, params, cfg)
+        assert np.array_equal(ours, out_of_place(monkeypatch, encode, pack, params, cfg))
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("use_residual_norm", [True, False])
     @pytest.mark.parametrize("scale", [0.3, 3.0])
     def test_masked_forward_and_loss_and_grads(self, monkeypatch, dtype,
                                                use_residual_norm, scale):
@@ -443,6 +510,7 @@ import resource
 import numpy as np
 from essayqa.encoder import EncoderConfig, encode, init_encoder_params
 from essayqa.heads import init_head_params
+from essayqa.seqbuild import InputSequence
 from essayqa.train import TrainingExample, loss_and_grads
 
 def faults_per_call(fn, warmup=3, calls=5):

@@ -134,6 +134,20 @@ class TestPlanFile:
         assert str(info.value) == (f"{path}: {where} field '{key}' must be a JSON {kind}, "
                                    f"not {json.dumps(value)}")
 
+    @pytest.mark.parametrize("model, message", [
+        ({"max_len": 1024}, "max_len must be at most 512"),
+        ({"heads": 3}, "d_model must be divisible by heads"),
+    ])
+    def test_model_value_the_encoder_refuses_is_rejected_on_load(self, tmp_path, model,
+                                                                 message):
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps({"model": model,
+                                    "stages": [{"name": "a", "corpus": "absent.jsonl"}],
+                                    "eval_corpus": "absent.jsonl"}), encoding="utf-8")
+        with pytest.raises(PlanError) as info:
+            load_plan(str(path))
+        assert str(info.value) == f"{path}: 'model' {message}"
+
     def test_int_for_float_and_null_max_steps_accepted(self, tmp_path):
         path = tmp_path / "plan.json"
         path.write_text(json.dumps({

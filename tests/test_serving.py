@@ -7,6 +7,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from essayqa import evalharness, heads, pipeline, qnorm, train
 from essayqa.checkpoint import save_model
@@ -14,7 +16,7 @@ from essayqa.cli import cli_main
 from essayqa.corpus import save_sed_format
 from essayqa.encoder import encode
 from essayqa.evalharness import predict_corpus
-from essayqa.locator import locate_response
+from essayqa.locator import OVERSIZED_QUESTION, locate_response
 from essayqa.model import new_model
 from essayqa.pipeline import EvaluationRequest, evaluate, infer_verdict, serving_model
 from essayqa.seqbuild import assemble, build_vocab
@@ -210,7 +212,7 @@ class TestServingCache:
             seen.append(params) or original(seq, params, cfg)))
         first = evaluate(three_requirements(model))
         second = evaluate(three_requirements(model))
-        assert first == second and len(seen) == 6
+        assert first == second and len(seen) == 2  # one pack per request
         for name in model.params:
             if name not in ("tok_emb", "pos_emb"):
                 assert seen[0][name].dtype == np.float32, name
@@ -261,3 +263,66 @@ class TestServingCache:
         assert other._serving is None
         assert serving_model(other).params[LAYER] is not layer
         assert serving_model(model).params[LAYER] is layer
+
+
+ESSAYS = list(dict.fromkeys(ex.context for ex in EXAMPLES))
+# A pool of short contexts, contexts joined past the 512 cap and a question
+# that leaves no room for the essay.
+POOL = [*EXAMPLES,
+        *(replace(ex, context=" ".join(ESSAYS[j:] + ESSAYS[:j] + ESSAYS))
+          for j, ex in enumerate(EXAMPLES[:len(ESSAYS)])),
+        replace(EXAMPLES[0], question=" ".join(ESSAYS * 3))]
+
+
+@pytest.fixture(scope="module")
+def packing_model():
+    return small_model("float64")
+
+
+def tau_of(model, ex):
+    return assemble(qnorm.normalize(ex.question, model.rules), ex.context, VOCAB).tau
+
+
+class TestPacking:
+    """A request's sequences share one encoder pack; every verdict equals
+    the one its pair gets alone."""
+
+    def test_pool_covers_the_cap_and_an_oversized_question(self, packing_model):
+        verdicts = [infer_verdict(packing_model, ex.question, ex.context) for ex in POOL]
+        assert verdicts[-1].reason == OVERSIZED_QUESTION
+        taus = [tau_of(packing_model, ex) for ex in POOL[:-1]]
+        assert max(taus) == 512 and min(taus) < 100
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.integers(0, len(POOL) - 1), min_size=1, max_size=10))
+    def test_predict_corpus_equals_one_at_a_time(self, packing_model, picks):
+        corpus = [replace(POOL[i], example_id=f"{j}-{POOL[i].example_id}")
+                  for j, i in enumerate(picks)]
+        by_id = predict_corpus(packing_model, corpus)
+        assert list(by_id) == [ex.example_id for ex in corpus]
+        for ex in corpus:
+            assert by_id[ex.example_id] == infer_verdict(packing_model, ex.question, ex.context)
+
+    def test_evaluate_with_an_oversized_question_mid_pack(self, packing_model):
+        essay = EXAMPLES[3].context
+        requirements = (EXAMPLES[0].question, POOL[-1].question, EXAMPLES[5].question)
+        verdicts = evaluate(EvaluationRequest(essay=essay, requirements=requirements,
+                                              model=packing_model))
+        assert verdicts[1].reason == OVERSIZED_QUESTION
+        assert verdicts == [infer_verdict(packing_model, q, essay) for q in requirements]
+        assert verdicts[0] == composed_verdict(serving_model(packing_model),
+                                               replace(EXAMPLES[0], context=essay))
+
+    def test_packs_straddle_the_row_cap_in_order(self, monkeypatch, packing_model):
+        rows = []  # rows of every encode() call
+        original = pipeline.encode
+        monkeypatch.setattr(pipeline, "encode", lambda seqs, params, cfg: (
+            rows.append(sum(s.tau for s in seqs)) or original(seqs, params, cfg)))
+        corpus = [replace(ex, example_id=str(j)) for j, ex in enumerate(POOL[12:16] + POOL[:4])]
+        taus = [tau_of(packing_model, ex) for ex in corpus]
+        assert taus[:4] == [512] * 4 and pipeline._PACK_ROWS == 1024
+        by_id = predict_corpus(packing_model, corpus)
+        assert rows == [1024, 1024, sum(taus[4:])]
+        monkeypatch.setattr(pipeline, "encode", original)
+        assert list(by_id.values()) == [infer_verdict(packing_model, ex.question, ex.context)
+                                        for ex in corpus]
