@@ -1,15 +1,12 @@
 """Miniature multi-layer transformer encoder in plain numpy.
 
 Forward and backward passes are hand-written so training needs nothing
-beyond numpy.  Shapes follow (B, T, D) = batch, positions, model width;
-attention uses (B, heads, T, d_k).
-
-Training runs padded batches: each row of (B, T) is one sequence, and a
-mask keeps padded keys out of attention.  Inference runs packs: the rows of
-several sequences stacked with no padding, (1, sum tau), with the row
-bounds of each.  The position-wise work (embedding, projections, residuals,
-LayerNorm, FFN) runs once over all rows, and attention runs on each
-sequence's own rows.  A single sequence is a pack of one.
+beyond numpy.  Training and inference run the same layout, a pack: the rows
+of several sequences stacked with no padding, (1, N) with N = sum tau, and
+the row bounds of each.  The position-wise work (embedding, projections,
+residuals, LayerNorm, FFN and their gradients) runs once over all N rows,
+and attention and its backward run on each sequence's own rows, as
+(1, heads, tau, d_k) blocks.  A single sequence is a pack of one.
 
 Sublayer composition per layer, with residual/normalization enabled
 (the default):
@@ -62,7 +59,6 @@ def _retain_freed_heap() -> None:
 _retain_freed_heap()
 
 LN_EPS = 1e-5
-_MASKED = -1e30
 DTYPES = ("float32", "float64")
 
 
@@ -207,65 +203,58 @@ def _merge_heads(x):
     return x.transpose(0, 2, 1, 3).reshape(b, t, h * dk)
 
 
-def _attend(q, k, v, cfg: EncoderConfig, mask=None):
-    """(weights, merged context) of softmax(Q K^T / sqrt(d_k)) V.  The scores
-    are scaled, masked and normalized inside the one (B, heads, T, T) array
-    the matmul returns."""
-    weights = q @ k.transpose(0, 1, 3, 2)
-    weights /= math.sqrt(cfg.d_k)
-    if mask is not None:
-        np.copyto(weights, _MASKED, where=~mask[:, None, None, :])
-    softmax_last(weights, out=weights)
-    return weights, _merge_heads(weights @ v)
+def _attn_forward(h_in, p, pre, cfg: EncoderConfig, bounds, keep_cache=False):
+    """Multi-head scaled dot-product attention with output projection on a
+    pack (1, N, d_model): sequence j holds rows bounds[j]:bounds[j + 1] and
+    attends to those rows only.  Returns (out, weights, cache).
 
-
-def _attn_forward(h_in, p, pre, cfg: EncoderConfig, mask=None, bounds=None):
-    """Multi-head scaled dot-product attention with output projection.
-
-    mask: optional (B, T) boolean, True at real positions; padded key columns
-    are excluded from every softmax row.  Returns (out, weights, cache) with
-    weights (B, heads, T, T).
-
-    bounds: the row offsets of a pack (B = 1): sequence j holds rows
-    bounds[j]:bounds[j + 1] and attends to those rows only.  It returns
-    (out, None, None): a pack keeps no weights and no cache.
-    """
+    With ``keep_cache``, ``weights`` lists each sequence's (1, heads, tau,
+    tau) attention matrix and ``cache`` holds what ``_attn_backward`` reads;
+    without it both are None and each sequence's weights are freed once its
+    context is computed."""
     q = _split_heads(h_in @ p[pre + "w_q"], cfg.heads)
     k = _split_heads(h_in @ p[pre + "w_k"], cfg.heads)
     v = _split_heads(h_in @ p[pre + "w_v"], cfg.heads)
-    if bounds is None:
-        weights, ctx = _attend(q, k, v, cfg, mask)
-        cache = (h_in, q, k, v, weights, ctx)
-    else:
-        weights = cache = None
-        ctx = np.empty_like(h_in, dtype=v.dtype)
-        for s, e in zip(bounds[:-1], bounds[1:]):
-            _, ctx[:, s:e] = _attend(q[:, :, s:e], k[:, :, s:e], v[:, :, s:e], cfg)
+    weights = [] if keep_cache else None
+    ctx = np.empty_like(h_in, dtype=v.dtype)
+    for s, e in zip(bounds, bounds[1:]):
+        # softmax(Q K^T / sqrt(d_k)), scaled and normalized inside the one
+        # (1, heads, tau, tau) array the matmul returns
+        w = q[:, :, s:e] @ k[:, :, s:e].transpose(0, 1, 3, 2)
+        w /= math.sqrt(cfg.d_k)
+        softmax_last(w, out=w)
+        ctx[:, s:e] = _merge_heads(w @ v[:, :, s:e])
+        if keep_cache:
+            weights.append(w)
     out = ctx @ p[pre + "w_o"]
     out += p[pre + "b_o"]
+    cache = (h_in, q, k, v, weights, ctx, bounds) if keep_cache else None
     return out, weights, cache
 
 
 def _attn_backward(dout, cache, p, pre, cfg: EncoderConfig, grads):
-    h_in, q, k, v, weights, ctx = cache
+    h_in, q, k, v, weights, ctx, bounds = cache
     flat = lambda x: x.reshape(-1, x.shape[-1])
 
     d_wo = flat(ctx).T @ flat(dout)
     d_bo = dout.sum(axis=(0, 1))
     do_h = _split_heads(dout @ p[pre + "w_o"].T, cfg.heads)
 
-    dv = weights.transpose(0, 1, 3, 2) @ do_h
-    # d weights, turned into d scores in place: (dw - rowdot) * w / sqrt(d_k)
-    dscores = do_h @ v.transpose(0, 1, 3, 2)
-    dscores -= (dscores * weights).sum(axis=-1, keepdims=True)
-    dscores *= weights
-    dscores /= math.sqrt(cfg.d_k)
-    dq = dscores @ k
-    dk = dscores.transpose(0, 1, 3, 2) @ q
+    # Each sequence's d q, d k and d v are written into its rows of the
+    # merged (1, N, d_model) arrays through their split-heads views.
+    dq_lin, dk_lin, dv_lin = (np.empty_like(ctx) for _ in range(3))
+    dq, dk, dv = (_split_heads(x, cfg.heads) for x in (dq_lin, dk_lin, dv_lin))
+    for s, e, w in zip(bounds, bounds[1:], weights):
+        do_j = do_h[:, :, s:e]
+        dv[:, :, s:e] = w.transpose(0, 1, 3, 2) @ do_j
+        # d weights, turned into d scores in place: (dw - rowdot) * w / sqrt(d_k)
+        dscores = do_j @ v[:, :, s:e].transpose(0, 1, 3, 2)
+        dscores -= (dscores * w).sum(axis=-1, keepdims=True)
+        dscores *= w
+        dscores /= math.sqrt(cfg.d_k)
+        dq[:, :, s:e] = dscores @ k[:, :, s:e]
+        dk[:, :, s:e] = dscores.transpose(0, 1, 3, 2) @ q[:, :, s:e]
 
-    dq_lin = _merge_heads(dq)
-    dk_lin = _merge_heads(dk)
-    dv_lin = _merge_heads(dv)
     grads[pre + "w_q"] = flat(h_in).T @ flat(dq_lin)
     grads[pre + "w_k"] = flat(h_in).T @ flat(dk_lin)
     grads[pre + "w_v"] = flat(h_in).T @ flat(dv_lin)
@@ -309,8 +298,8 @@ def layer_slice(params: dict[str, np.ndarray], i: int) -> dict[str, np.ndarray]:
     return {k[len(pre):]: v for k, v in params.items() if k.startswith(pre)}
 
 
-def _layer_forward(h_prev, p, pre, cfg: EncoderConfig, mask=None, bounds=None):
-    attn_out, _, c_attn = _attn_forward(h_prev, p, pre + "attn.", cfg, mask, bounds)
+def _layer_forward(h_prev, p, pre, cfg: EncoderConfig, bounds, keep_cache=False):
+    attn_out, _, c_attn = _attn_forward(h_prev, p, pre + "attn.", cfg, bounds, keep_cache)
     if cfg.use_residual_norm:
         attn_out += h_prev
         a, c_ln1 = _ln_forward(attn_out, p[pre + "ln1.gain"], p[pre + "ln1.bias"])
@@ -342,7 +331,7 @@ def _layer_backward(dh_out, cache, p, pre, cfg: EncoderConfig, grads):
 
 def scaled_attention(h_prev: np.ndarray, layer_params: dict[str, np.ndarray],
                      cfg: EncoderConfig, return_weights: bool = False):
-    """Attention sublayer on a single (tau, d_model) input.
+    """Attention sublayer on a single (tau, d_model) input, a pack of one.
 
     Per head: Q = H W_q, K = H W_k, V = H W_v; softmax(Q K^T / sqrt(d_k)) V;
     heads concatenated then output-projected.  ``layer_params`` holds a
@@ -352,24 +341,23 @@ def scaled_attention(h_prev: np.ndarray, layer_params: dict[str, np.ndarray],
     """
     if not np.all(np.isfinite(h_prev)):
         raise ValidationError("attention input must be finite")
-    out, weights, _ = _attn_forward(h_prev[None], layer_params, "attn.", cfg)
-    return (out[0], weights[0]) if return_weights else out[0]
+    out, weights, _ = _attn_forward(h_prev[None], layer_params, "attn.", cfg,
+                                    [0, len(h_prev)], return_weights)
+    return (out[0], weights[0][0]) if return_weights else out[0]
 
 
 def encoder_layer(h_prev: np.ndarray, layer_params: dict[str, np.ndarray],
                   cfg: EncoderConfig) -> np.ndarray:
-    """One full encoder layer on a single (tau, d_model) input."""
-    out, _ = _layer_forward(h_prev[None], layer_params, "", cfg)
+    """One full encoder layer on a single (tau, d_model) input, a pack of one."""
+    out, _ = _layer_forward(h_prev[None], layer_params, "", cfg, [0, len(h_prev)])
     return out[0]
 
 
-def _embed(ids: np.ndarray, params, cfg: EncoderConfig, bounds=None):
+def _embed(ids: np.ndarray, params, cfg: EncoderConfig, bounds):
     if ids.max(initial=0) >= cfg.vocab_size or ids.min(initial=0) < 0:
         raise ValidationError(
             f"token id out of range for vocab_size={cfg.vocab_size}"
         )
-    if bounds is None:
-        bounds = [0, ids.shape[-1]]
     lengths = np.diff(bounds).tolist()
     t = max(lengths)
     if t > cfg.max_len:
@@ -383,32 +371,35 @@ def _embed(ids: np.ndarray, params, cfg: EncoderConfig, bounds=None):
 
 
 def forward_batch(ids: np.ndarray, params: dict[str, np.ndarray], cfg: EncoderConfig,
-                  mask: np.ndarray | None = None, bounds: list[int] | None = None):
-    """Encode a padded id matrix (B, T); returns (H (B, T, d_model), cache).
+                  *, bounds: list[int], keep_cache: bool = True):
+    """Encode a pack: ids (1, N) of sequences stacked at the row offsets
+    ``bounds``; returns (H (1, N, d_model), cache).
 
-    With ``bounds`` the ids are a pack (1, N) of sequences stacked at those
-    row offsets (``_attn_forward``).  A pack is served, never trained, so
-    its cache is None and each layer's activations are freed as it ends."""
+    A training pack keeps the layer caches that ``backward_batch`` reads.
+    Serving passes ``keep_cache=False``: its cache is None and each layer's
+    activations are freed as it ends.  ``bounds`` is keyword-only because
+    perfbench's tracer reads a fourth positional argument as a padding mask."""
     h = _embed(ids, params, cfg, bounds)
     layer_caches = []
     for i in range(cfg.layers):
-        h, cache = _layer_forward(h, params, f"layer{i}.", cfg, mask, bounds)
-        if bounds is None:
+        h, cache = _layer_forward(h, params, f"layer{i}.", cfg, bounds, keep_cache)
+        if keep_cache:
             layer_caches.append(cache)
-    return h, (ids, layer_caches) if bounds is None else None
+    return h, (ids, bounds, layer_caches) if keep_cache else None
 
 
 def backward_batch(dh: np.ndarray, cache, params: dict[str, np.ndarray],
                    cfg: EncoderConfig) -> dict[str, np.ndarray]:
-    """Gradients of every encoder tensor given dLoss/dH^L."""
-    ids, layer_caches = cache
+    """Gradients of every encoder tensor given dLoss/dH^L (1, N, d_model)."""
+    ids, bounds, layer_caches = cache
     grads: dict[str, np.ndarray] = {}
     for i in reversed(range(cfg.layers)):
         dh = _layer_backward(dh, layer_caches[i], params, f"layer{i}.", cfg, grads)
     d_tok = np.zeros_like(params["tok_emb"])
     np.add.at(d_tok, ids.reshape(-1), dh.reshape(-1, dh.shape[-1]))
     d_pos = np.zeros_like(params["pos_emb"])
-    d_pos[: ids.shape[-1]] = dh.sum(axis=0)
+    for s, e in zip(bounds, bounds[1:]):
+        d_pos[:e - s] += dh[0, s:e]
     grads["tok_emb"] = d_tok
     grads["pos_emb"] = d_pos
     return grads
@@ -422,23 +413,16 @@ def encode(seq: InputSequence | list[InputSequence] | list[int] | np.ndarray,
     wherever a GEMM's output rows do not depend on the other rows.
     Deterministic for fixed params."""
     if isinstance(seq, list) and seq and isinstance(seq[0], InputSequence):
-        ids = np.fromiter(chain.from_iterable(s.ids for s in seq), dtype=np.int64)
-        bounds = np.cumsum([0, *(s.tau for s in seq)]).tolist()
+        ids, bounds = pack_ids(seq)
     else:
         ids = np.asarray(seq.ids if isinstance(seq, InputSequence) else seq, dtype=np.int64)
-        bounds = [0, ids.shape[-1]]
-    h, _ = forward_batch(ids[None], params, cfg, bounds=bounds)
+        ids, bounds = ids[None], [0, ids.shape[-1]]
+    h, _ = forward_batch(ids, params, cfg, bounds=bounds, keep_cache=False)
     return h[0]
 
 
-def pad_ids(ids_list: list[np.ndarray], pad_id: int) -> tuple[np.ndarray, np.ndarray]:
-    """Stack variable-length id vectors into (B, Tmax) plus a validity mask."""
-    if not ids_list:
-        raise ValidationError("empty batch")
-    tmax = max(len(ids) for ids in ids_list)
-    ids = np.full((len(ids_list), tmax), pad_id, dtype=np.int64)
-    mask = np.zeros((len(ids_list), tmax), dtype=bool)
-    for i, row in enumerate(ids_list):
-        ids[i, : len(row)] = row
-        mask[i, : len(row)] = True
-    return ids, mask
+def pack_ids(seqs) -> tuple[np.ndarray, list[int]]:
+    """The ids (1, N) and row bounds of sequences (anything with ``ids`` and
+    ``tau``) stacked as one pack, in order."""
+    ids = np.fromiter(chain.from_iterable(s.ids for s in seqs), dtype=np.int64)
+    return ids[None], np.cumsum([0, *(s.tau for s in seqs)]).tolist()

@@ -30,7 +30,7 @@ from .pipeline import infer_verdict, infer_verdicts, serving_model  # noqa: F401
 from .qnorm import split_words
 from .seqbuild import RESERVED, VOCAB_SIZE, Vocabulary, build_vocab, tokenize
 from .synthetic import SyntheticConfig, generate_synthetic
-from .train import Stage, TrainConfig, run_stage
+from .train import Stage, TrainConfig, run_stage, stage_config
 
 
 @dataclass
@@ -162,6 +162,9 @@ class PlanStage:
         _check_types("stage ", vars(self), PlanStage)
         _check_corpus_spec(f"stage {self.name!r} 'corpus'", self.corpus)
         _check_corpus_spec(f"stage {self.name!r} 'dev'", self.dev)
+        if not 0 <= self.dev_fraction < 1:
+            raise PlanError(f"stage {self.name!r} dev_fraction must be in [0, 1), "
+                            f"not {self.dev_fraction}")
 
 
 @dataclass
@@ -185,6 +188,15 @@ class ExperimentPlan:
         except ValidationError as exc:
             raise PlanError(f"'model' {exc}") from None
         _check_config("'train'", self.train, TrainConfig, {"seed"})
+        try:
+            train = TrainConfig(**self.train)
+        except ValidationError as exc:
+            raise PlanError(f"'train' {exc}") from None
+        for stage in self.stages:
+            try:
+                stage_config(train, stage)
+            except ValidationError as exc:
+                raise PlanError(f"stage {stage.name!r} {exc}") from None
         _check_corpus_spec("'eval_corpus'", self.eval_corpus)
         if isinstance(self.vocab, dict):
             _check_vocab(self.vocab)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoder import _MASKED, EncoderConfig, init_params, softmax_last
+from .encoder import EncoderConfig, init_params, softmax_last
 from .errors import ValidationError
 
 
@@ -63,23 +63,20 @@ class ScoreBundle:
 
 
 def span_logits(h_last: np.ndarray, params: dict[str, np.ndarray]):
-    """Per-position start/end logits; works on (tau, d) or (B, T, d).
+    """Per-position start/end logits; works on (tau, d) or a pack's (N, d).
 
     They carry no bias: the softmax over positions ignores a constant added
     to every logit, so a bias would get no gradient."""
     return h_last @ params["span.w_start"], h_last @ params["span.w_end"]
 
 
-def log_softmax_positions(logits: np.ndarray, mask: np.ndarray | None = None):
-    """(log p, p) of the softmax over positions (the last axis).
-
-    mask: optional boolean of the logits' shape, True at real positions;
-    padded positions get p = 0 and are left out of every row's max and sum.
-    Without a mask p is bit-identical to ``softmax_last(logits)``; log p is
-    ``(x - max) - log(sum)`` and is meaningful at real positions only.
+def log_softmax_positions(logits: np.ndarray):
+    """(log p, p) of the softmax over positions (the last axis), for one
+    sequence's logits: a pack's logits are taken one sequence's slice at a
+    time.  p is bit-identical to ``softmax_last(logits)``; log p is
+    ``(x - max) - log(sum)``.
     """
-    x = logits if mask is None else np.where(mask, logits, _MASKED)
-    z = x - x.max(axis=-1, keepdims=True)
+    z = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(z)
     s = e.sum(axis=-1, keepdims=True)
     return z - np.log(s), e / s

@@ -11,12 +11,12 @@ estimation with an optional linear warmup.  Everything is seeded: shuffles,
 batching, and reduction order are fixed, so identical configs produce
 bit-identical parameters.
 
-Each epoch cuts a seeded shuffle of the examples into batches.  Inside a
-batch the examples are sorted by sequence length and run through the encoder
-in sub-batches of a few examples, each padded only to its own longest
-example, so the encoder does little work on padding.  The batch keeps the
-examples the shuffle gave it, and its loss and gradients are the mean over
-them: the sub-batches only change the order of the sums.
+Each epoch cuts a seeded shuffle of the examples into batches.  Each batch
+runs through the encoder in consecutive parts of a few examples, in batch
+order, and each part is one pack: its sequences' rows stacked with no
+padding, attention and the span softmax taken per sequence.  The batch's
+loss and gradients are the mean over its examples: the parts only change the
+order of the sums.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 
 from .checkpoint import save_model
 from .corpus import QAExample
-from .encoder import EncoderConfig, backward_batch, forward_batch, pad_ids, softmax_last
+from .encoder import EncoderConfig, backward_batch, forward_batch, pack_ids, softmax_last
 from .errors import EssayQAError, OversizedQuestionError, ValidationError
 from .heads import log_softmax_positions, span_logits, verifier_logits
 from .model import ModelBundle
@@ -40,10 +40,10 @@ from .seqbuild import Vocabulary, assemble
 
 logger = logging.getLogger(__name__)
 
-# Examples per encoder call inside a batch.  Smaller parts pad less but pay
-# the per-call overhead more often: on 160-example train_domain chunks at
-# batch 16, parts of 4 or 2 trained about a third faster than one part of 16,
-# and parts of 1 were slower than parts of 4.
+# Examples per pack inside a batch.  A part holds its layer caches until its
+# backward pass, so one pack of the whole batch (16) ran about 9 % faster on
+# train_domain but raised its peak RSS by about 15 MiB; parts of 1 pay the
+# per-call overhead 16 times a step.
 _SUB_BATCH = 4
 
 # Adam's moment decay rates and denominator guard (the usual values).
@@ -137,23 +137,21 @@ def prepare_examples(corpus: list[QAExample], vocab: Vocabulary, rules: RewriteR
     return prepared, skipped
 
 
-def length_sorted_parts(batch: list[TrainingExample]) -> list[list[TrainingExample]]:
-    """The batch sorted by sequence length (ties keep their order) and cut
-    into sub-batches of at most ``_SUB_BATCH`` examples."""
-    ordered = sorted(batch, key=lambda ex: ex.tau)
-    return [ordered[lo: lo + _SUB_BATCH] for lo in range(0, len(ordered), _SUB_BATCH)]
-
-
 def loss_and_grads(params: dict[str, np.ndarray], cfg: EncoderConfig,
                    batch: list[TrainingExample], pad_id: int):
     """Mean loss over the batch and analytic gradients for every tensor,
-    summed over ``length_sorted_parts(batch)``."""
+    summed over consecutive parts of ``_SUB_BATCH`` examples in batch order.
+
+    ``pad_id`` is unused, since a pack holds no padding; the parameter stays
+    for existing callers, and ``[PAD]`` stays a reserved vocabulary id
+    because the vocabulary file format holds it."""
     if not batch:
         raise ValidationError("empty batch")
     loss = 0.0
     grads: dict[str, np.ndarray] = {}
-    for part in length_sorted_parts(batch):
-        part_loss, part_grads = _part_loss_and_grads(params, cfg, part, len(batch), pad_id)
+    for lo in range(0, len(batch), _SUB_BATCH):
+        part_loss, part_grads = _part_loss_and_grads(params, cfg, batch[lo: lo + _SUB_BATCH],
+                                                     len(batch))
         loss += part_loss
         for name, g in part_grads.items():
             if name in grads:
@@ -164,49 +162,46 @@ def loss_and_grads(params: dict[str, np.ndarray], cfg: EncoderConfig,
 
 
 def _part_loss_and_grads(params: dict[str, np.ndarray], cfg: EncoderConfig,
-                         part: list[TrainingExample], n: int, pad_id: int):
+                         part: list[TrainingExample], n: int):
     """The part's share of the mean loss over a batch of n examples, and its
-    gradients, from one padded encoder forward and backward."""
-    ids, mask = pad_ids([np.asarray(ex.ids, dtype=np.int64) for ex in part], pad_id)
-    b = len(part)
-    h, cache = forward_batch(ids, params, cfg, mask)
+    gradients, from one packed encoder forward and backward."""
+    ids, bounds = pack_ids(part)
+    h, cache = forward_batch(ids, params, cfg, bounds=bounds)
+    h = h[0]
+    cls = np.array(bounds[:-1])  # each sequence's [CLS] row
 
-    start_logits, end_logits = span_logits(h, params)
-    log_ps, prob_s = log_softmax_positions(start_logits, mask)
-    log_pe, prob_e = log_softmax_positions(end_logits, mask)
-    rows = np.arange(b)
-    gs = np.array([ex.gold_start - 1 for ex in part])
-    ge = np.array([ex.gold_end - 1 for ex in part])
-    span_nll = -(log_ps[rows, gs] + log_pe[rows, ge]) / 2.0
+    # The start and end logits are the rows of one (2, N) array; each
+    # sequence's span softmax runs over its own columns.
+    logits = np.stack(span_logits(h, params))
+    log_p, p = zip(*(log_softmax_positions(logits[:, s:e]) for s, e in zip(bounds, bounds[1:])))
+    log_p, d_span = np.concatenate(log_p, axis=1), np.concatenate(p, axis=1)
+    gold = cls + np.array([(ex.gold_start - 1, ex.gold_end - 1) for ex in part]).T
+    span_nll = -np.take_along_axis(log_p, gold, axis=1).sum(axis=0) / 2.0
 
-    h_cls = h[:, 0, :]
+    h_cls = h[cls]
     v_prob = softmax_last(verifier_logits(h_cls, params))
+    rows = np.arange(len(part))
     targets = np.array([0 if ex.answerable else 1 for ex in part])
     ce = -np.log(v_prob[rows, targets])
 
     loss = float(np.sum(span_nll + ce) / n)
 
     # Backward: d loss / d logits for both heads, then one encoder backward.
-    d_start = prob_s.copy()
-    d_start[rows, gs] -= 1.0
-    d_start *= 0.5 / n
-    d_end = prob_e.copy()
-    d_end[rows, ge] -= 1.0
-    d_end *= 0.5 / n
+    d_span[[[0], [1]], gold] -= 1.0
+    d_span *= 0.5 / n
     d_v = v_prob.copy()
     d_v[rows, targets] -= 1.0
     d_v *= 1.0 / n
 
     grads: dict[str, np.ndarray] = {
-        "span.w_start": np.einsum("bt,btd->d", d_start, h),
-        "span.w_end": np.einsum("bt,btd->d", d_end, h),
+        "span.w_start": d_span[0] @ h,
+        "span.w_end": d_span[1] @ h,
         "verify.w": h_cls.T @ d_v,
         "verify.b": d_v.sum(axis=0),
     }
-    dh = (d_start[:, :, None] * params["span.w_start"]
-          + d_end[:, :, None] * params["span.w_end"])
-    dh[:, 0, :] += d_v @ params["verify.w"].T
-    grads.update(backward_batch(dh, cache, params, cfg))
+    dh = d_span[0][:, None] * params["span.w_start"] + d_span[1][:, None] * params["span.w_end"]
+    dh[cls] += d_v @ params["verify.w"].T
+    grads.update(backward_batch(dh[None], cache, params, cfg))
     return loss, grads
 
 
@@ -355,6 +350,14 @@ class StageRunInfo:
     checkpoint_path: str | None = None
 
 
+def stage_config(base_cfg: TrainConfig, stage) -> TrainConfig:
+    """``base_cfg`` with a stage's own ``epochs`` and ``learning_rate``
+    where it sets them (not None)."""
+    own = {key: getattr(stage, key) for key in ("epochs", "learning_rate")
+           if getattr(stage, key) is not None}
+    return replace(base_cfg, **own)
+
+
 def run_stage(model: ModelBundle, stage: Stage, k: int, base_cfg: TrainConfig,
               out_dir: str | None = None) -> tuple[ModelBundle, StageRunInfo]:
     """Train stage k (0-based) of a staged run and return the new model.
@@ -374,13 +377,7 @@ def run_stage(model: ModelBundle, stage: Stage, k: int, base_cfg: TrainConfig,
         n_dev = max(1, int(len(corpus) * stage.dev_fraction))
         dev = [corpus[int(i)] for i in order[:n_dev]]
         corpus = [corpus[int(i)] for i in order[n_dev:]]
-    cfg = replace(
-        base_cfg,
-        seed=stage_seed,
-        epochs=stage.epochs if stage.epochs is not None else base_cfg.epochs,
-        learning_rate=(stage.learning_rate if stage.learning_rate is not None
-                       else base_cfg.learning_rate),
-    )
+    cfg = replace(stage_config(base_cfg, stage), seed=stage_seed)
     result = train_stage(model.params, corpus, model.vocab, model.rules,
                          model.config, cfg)
     model = replace(model, params=result.params)

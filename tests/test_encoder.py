@@ -1,5 +1,5 @@
 """Encoder oracles: sublayers against explicit-loop references, probability
-invariants, determinism, padding invariance, bit-identity with the
+invariants, determinism, packing invariance, bit-identity with the
 out-of-place formulas, peak memory and dtype."""
 
 import functools
@@ -26,7 +26,7 @@ from essayqa.encoder import (
     forward_batch,
     init_encoder_params,
     layer_slice,
-    pad_ids,
+    pack_ids,
     scaled_attention,
     softmax_last,
 )
@@ -208,18 +208,18 @@ class TestEncode:
         assert np.all(np.isfinite(h))
 
     def test_batched_padding_invariance(self):
-        """A padded, masked batch of 8 matches each sequence encoded alone
-        within the 1e-12 batched-vs-single gate (float64)."""
+        """Each sequence's rows of a training pack of 8 (layer caches kept)
+        equal that sequence encoded alone, byte for byte: nothing beside it
+        in the pack moves its H."""
         cfg = small_config(max_len=200)
         params = make_params(cfg)
         lengths = (1, 3, 9, 14, 57, 120, 199, 200)
         seqs = [RNG.integers(0, cfg.vocab_size, size=n) for n in lengths]
-        ids, mask = pad_ids(seqs, pad_id=3)
-        h, _ = forward_batch(ids, params, cfg, mask)
-        for row, n in enumerate(lengths):
-            hs = encode(seqs[row], params, cfg)
-            assert hs.shape == (n, cfg.d_model)
-            assert np.max(np.abs(h[row, :n] - hs)) < 1e-12
+        bounds = np.cumsum([0, *lengths]).tolist()
+        h, cache = forward_batch(np.concatenate(seqs)[None], params, cfg, bounds=bounds)
+        assert h.shape == (1, sum(lengths), cfg.d_model) and cache is not None
+        for seq, s, e in zip(seqs, bounds, bounds[1:]):
+            assert h[0, s:e].tobytes() == encode(seq, params, cfg).tobytes()
 
     def test_residual_norm_on_both_layers_used(self):
         cfg = small_config()
@@ -312,37 +312,35 @@ def ref_softmax(x):
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def ref_attn_forward(h_in, p, pre, cfg, mask=None, bounds=None):
+def ref_attn_forward(h_in, p, pre, cfg, bounds, keep_cache=False):
     q = _split_heads(h_in @ p[pre + "w_q"], cfg.heads)
     k = _split_heads(h_in @ p[pre + "w_k"], cfg.heads)
     v = _split_heads(h_in @ p[pre + "w_v"], cfg.heads)
-    if bounds is not None:  # the same formula on each sequence's rows
-        ctx = np.concatenate([
-            _merge_heads(ref_softmax(q[:, :, s:e] @ k[:, :, s:e].transpose(0, 1, 3, 2)
-                                     / math.sqrt(cfg.d_k)) @ v[:, :, s:e])
-            for s, e in zip(bounds[:-1], bounds[1:])], axis=1)
-        return ctx @ p[pre + "w_o"] + p[pre + "b_o"], None, None
-    scores = q @ k.transpose(0, 1, 3, 2) / math.sqrt(cfg.d_k)
-    if mask is not None:
-        scores = np.where(mask[:, None, None, :], scores, -1e30)
-    weights = ref_softmax(scores)
-    ctx = _merge_heads(weights @ v)
+    spans = list(zip(bounds[:-1], bounds[1:]))  # the same formula on each sequence's rows
+    weights = [ref_softmax(q[:, :, s:e] @ k[:, :, s:e].transpose(0, 1, 3, 2)
+                           / math.sqrt(cfg.d_k)) for s, e in spans]
+    ctx = np.concatenate([_merge_heads(w @ v[:, :, s:e]) for w, (s, e) in zip(weights, spans)],
+                         axis=1)
     out = ctx @ p[pre + "w_o"] + p[pre + "b_o"]
-    return out, weights, (h_in, q, k, v, weights, ctx)
+    if not keep_cache:
+        return out, None, None
+    return out, weights, (h_in, q, k, v, weights, ctx, bounds)
 
 
 def ref_attn_backward(dout, cache, p, pre, cfg, grads):
-    h_in, q, k, v, weights, ctx = cache
+    h_in, q, k, v, weights, ctx, bounds = cache
     flat = lambda x: x.reshape(-1, x.shape[-1])
     grads_o = (flat(ctx).T @ flat(dout), dout.sum(axis=(0, 1)))
     do_h = _split_heads(dout @ p[pre + "w_o"].T, cfg.heads)
-    dweights = do_h @ v.transpose(0, 1, 3, 2)
-    dv = weights.transpose(0, 1, 3, 2) @ do_h
-    rowdot = (dweights * weights).sum(axis=-1, keepdims=True)
-    dscores = (dweights - rowdot) * weights / math.sqrt(cfg.d_k)
-    dq = _merge_heads(dscores @ k)
-    dk = _merge_heads(dscores.transpose(0, 1, 3, 2) @ q)
-    dv = _merge_heads(dv)
+    dq, dk, dv = [], [], []
+    for w, s, e in zip(weights, bounds, bounds[1:]):
+        dweights = do_h[:, :, s:e] @ v[:, :, s:e].transpose(0, 1, 3, 2)
+        dv.append(w.transpose(0, 1, 3, 2) @ do_h[:, :, s:e])
+        rowdot = (dweights * w).sum(axis=-1, keepdims=True)
+        dscores = (dweights - rowdot) * w / math.sqrt(cfg.d_k)
+        dq.append(dscores @ k[:, :, s:e])
+        dk.append(dscores.transpose(0, 1, 3, 2) @ q[:, :, s:e])
+    dq, dk, dv = (_merge_heads(np.concatenate(x, axis=2)) for x in (dq, dk, dv))
     grads[pre + "w_q"] = flat(h_in).T @ flat(dq)
     grads[pre + "w_k"] = flat(h_in).T @ flat(dk)
     grads[pre + "w_v"] = flat(h_in).T @ flat(dv)
@@ -401,8 +399,9 @@ def full_params(cfg, scale):
             for k, v in params.items()}
 
 
-def masked_batch():
-    """Padded rows of lengths 1..9; the length-1 row has a single valid key."""
+def mixed_length_batch():
+    """Examples of lengths 1..9; the length-1 one has a single key.  As a
+    batch of 5 it trains as two packs, of 4 and of 1."""
     lengths = (9, 1, 4, 7, 2)
     rng = np.random.default_rng(99)
     return [TrainingExample(ids=tuple(int(i) for i in rng.integers(4, 31, size=n)),
@@ -470,12 +469,15 @@ class TestBitIdenticalToOutOfPlace:
     @pytest.mark.parametrize("scale", [0.3, 3.0])
     def test_masked_forward_and_loss_and_grads(self, monkeypatch, dtype,
                                                use_residual_norm, scale):
+        """A training pack, whose attention is confined to each sequence's
+        own rows, and the loss and gradients of its batch."""
         cfg = bit_config(dtype=dtype, use_residual_norm=use_residual_norm)
         params = full_params(cfg, scale)
-        batch = masked_batch()
-        ids, mask = pad_ids([np.asarray(ex.ids) for ex in batch], pad_id=3)
-        h, _ = forward_batch(ids, params, cfg, mask)
-        h_ref, _ = out_of_place(monkeypatch, forward_batch, ids, params, cfg, mask)
+        batch = mixed_length_batch()
+        ids, bounds = pack_ids(batch)
+        pack = functools.partial(forward_batch, bounds=bounds)
+        h, _ = pack(ids, params, cfg)
+        h_ref, _ = out_of_place(monkeypatch, pack, ids, params, cfg)
         assert np.array_equal(h, h_ref)
         with np.errstate(divide="ignore", over="ignore"):
             loss, grads = loss_and_grads(params, cfg, batch, 3)
@@ -489,8 +491,8 @@ class TestBitIdenticalToOutOfPlace:
 
 class TestMemory:
     def test_encode_peak_is_one_score_buffer_per_layer_plus_slack(self):
-        """Each layer keeps its (heads, T, T) weights in the forward cache;
-        the scale, mask and softmax must add no second buffer of that size."""
+        """A served sequence's (heads, T, T) scores are scaled and
+        normalized in place: no second buffer of that size."""
         cfg = EncoderConfig(vocab_size=100)
         params = init_encoder_params(cfg, np.random.default_rng(0))
         ids = np.random.default_rng(1).integers(0, cfg.vocab_size, size=cfg.max_len)
@@ -560,14 +562,21 @@ print(faults_per_call(lambda: encode(ids, params, cfg)),
 
 class TestFloat32:
     def test_masked_forward_and_gradients_stay_float32_and_finite(self):
+        """A training pack's H, every array its layer caches hold, and the
+        gradients stay float32."""
         cfg = small_config(dtype="float32")
         params = full_params(cfg, 0.3)
-        batch = masked_batch()
-        ids, mask = pad_ids([np.asarray(ex.ids) for ex in batch], pad_id=3)
-        h, (_, layer_caches) = forward_batch(ids, params, cfg, mask)
-        activations = [h] + [a for layer in layer_caches for part in layer
-                             if part is not None for a in part]
-        for a in activations:
+        batch = mixed_length_batch()
+        ids, bounds = pack_ids(batch)
+        h, (_, _, layer_caches) = forward_batch(ids, params, cfg, bounds=bounds)
+        activations = [h]
+        for layer in layer_caches:
+            for part in filter(None, layer):
+                for a in part:
+                    activations.extend(a if isinstance(a, list) else [a])
+        arrays = [a for a in activations if isinstance(a, np.ndarray)]
+        assert len(arrays) > len(layer_caches) * len(batch)
+        for a in arrays:
             assert a.dtype == np.float32 and np.all(np.isfinite(a))
         loss, grads = loss_and_grads(params, cfg, batch, 3)
         assert np.isfinite(loss)

@@ -148,6 +148,24 @@ class TestPlanFile:
             load_plan(str(path))
         assert str(info.value) == f"{path}: 'model' {message}"
 
+    @pytest.mark.parametrize("train, stage, message", [
+        ({"batch_size": 0}, {}, "'train' epochs and batch_size must be positive"),
+        ({"warmup_steps": -1}, {}, "'train' warmup_steps must not be negative"),
+        ({}, {"epochs": 0}, "stage 'a' epochs and batch_size must be positive"),
+        ({}, {"learning_rate": 0}, "stage 'a' learning_rate must be positive"),
+        ({}, {"dev_fraction": 1.5}, "stage 'a' dev_fraction must be in [0, 1), not 1.5"),
+        ({}, {"dev_fraction": -0.1}, "stage 'a' dev_fraction must be in [0, 1), not -0.1"),
+    ])
+    def test_train_value_the_trainer_refuses_is_rejected_on_load(self, tmp_path, train,
+                                                                 stage, message):
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps({"train": train,
+                                    "stages": [{"name": "a", "corpus": "absent.jsonl", **stage}],
+                                    "eval_corpus": "absent.jsonl"}), encoding="utf-8")
+        with pytest.raises(PlanError) as info:
+            load_plan(str(path))
+        assert str(info.value) == f"{path}: {message}"
+
     def test_int_for_float_and_null_max_steps_accepted(self, tmp_path):
         path = tmp_path / "plan.json"
         path.write_text(json.dumps({

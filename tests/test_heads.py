@@ -62,34 +62,9 @@ class TestSpanProbabilities:
         assert np.allclose(dist.prob_start, expected, atol=1e-10)
 
 
-def old_masked_log_softmax(logits, mask):
-    """The training loss's masked softmax as it was written before training
-    and inference shared ``log_softmax_positions``."""
-    x = np.where(mask, logits, -1e30)
-    m = x.max(axis=-1, keepdims=True)
-    z = np.where(mask, x - m, -1e30)
-    e = np.exp(z) * mask
-    s = e.sum(axis=-1, keepdims=True)
-    return z - np.log(s), e / s
-
-
 class TestLogSoftmaxPositions:
-    """One softmax over positions serves inference (no mask) and the
-    training loss (padding mask); both must keep their old bits."""
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.integers(1, 6), st.integers(1, 40), st.sampled_from([np.float64, np.float32]),
-           st.sampled_from([1.0, 30.0, 1e4]), st.integers(0, 2**32 - 1))
-    def test_masked_equals_old_training_softmax(self, b, t, dtype, scale, seed):
-        rng = np.random.default_rng(seed)
-        logits = (rng.normal(size=(b, t)) * scale).astype(dtype)
-        lengths = rng.integers(1, t + 1, size=b)
-        mask = np.arange(t)[None, :] < lengths[:, None]
-        log_p, p = log_softmax_positions(logits, mask)
-        old_log_p, old_p = old_masked_log_softmax(logits, mask)
-        assert log_p.dtype == p.dtype == dtype
-        assert np.array_equal(log_p[mask], old_log_p[mask])
-        assert np.array_equal(p, old_p)  # padded positions are 0 in both
+    """One softmax over positions serves inference and the training loss,
+    which takes it on each sequence's slice of a pack's logits."""
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.integers(1, 40), min_size=1, max_size=3),

@@ -27,7 +27,6 @@ from essayqa.train import (
     TrainConfig,
     TrainingExample,
     char_span_to_positions,
-    length_sorted_parts,
     loss_and_grads,
     multi_stage_train,
     prepare_examples,
@@ -226,30 +225,14 @@ class TestTrainStage:
             assert np.all(np.isfinite(g))
 
 
-def padded_positions(groups):
-    return sum(len(g) * max(ex.tau for ex in g) - sum(ex.tau for ex in g) for g in groups)
+class TestPackedParts:
+    """loss_and_grads runs a batch as packs of consecutive examples."""
 
-
-class TestLengthSortedParts:
     def batch(self, n=11):
         corpus = small_corpus(40, seed=17)
         model = desk_model(corpus)
         prepared, _ = prepare_examples(corpus, model.vocab, RULES, model.config.max_len)
         return model, prepared[:n]
-
-    def test_parts_partition_the_batch_sorted_by_length(self):
-        _, batch = self.batch()
-        parts = length_sorted_parts(batch)
-        assert [len(p) for p in parts] == [4, 4, 3]
-        flat = [ex for p in parts for ex in p]
-        assert flat == sorted(batch, key=lambda ex: ex.tau)  # stable: ties keep batch order
-
-    def test_ties_keep_batch_order(self):
-        rows = [TrainingExample(ids=(0,) * t, m=1, gold_start=1, gold_end=1,
-                                answerable=False, example_id=str(i))
-                for i, t in enumerate([5, 3, 5, 3, 4, 5])]
-        parts = length_sorted_parts(rows)
-        assert [[ex.example_id for ex in p] for p in parts] == [["1", "3", "4", "0"], ["2", "5"]]
 
     def test_batch_gradient_is_the_mean_over_its_examples(self):
         model, batch = self.batch()
@@ -269,22 +252,6 @@ class TestLengthSortedParts:
         for name, g in grads.items():
             want = np.mean([s[name] for _, s in singles], axis=0)
             assert np.allclose(g, want, rtol=1e-10, atol=1e-14), name
-
-    def test_cuts_padding_on_mixed_length_corpus(self):
-        corpus = (generate_synthetic(SyntheticConfig(count=300, seed=31, bank="domain"))
-                  + generate_synthetic(SyntheticConfig(count=300, seed=32, bank="general")))
-        model = desk_model(corpus)
-        prepared, _ = prepare_examples(corpus, model.vocab, RULES, model.config.max_len)
-        taus = [ex.tau for ex in prepared]
-        assert len(prepared) >= 512 and max(taus) > 2 * min(taus)
-        order = np.random.default_rng(0).permutation(len(prepared)).tolist()
-        batches = [[prepared[i] for i in order[lo: lo + 16]]
-                   for lo in range(0, len(order), 16)]
-        parts = [p for b in batches for p in length_sorted_parts(b)]
-        unsorted = [b[lo: lo + len(parts[0])] for b in batches
-                    for lo in range(0, len(b), len(parts[0]))]
-        assert padded_positions(parts) <= 0.85 * padded_positions(batches)
-        assert padded_positions(parts) <= 0.5 * padded_positions(unsorted)
 
 
 class TestSelectZeta:
