@@ -2,11 +2,12 @@
 
 Forward and backward passes are hand-written so training needs nothing
 beyond numpy.  Training and inference run the same layout, a pack: the rows
-of several sequences stacked with no padding, (1, N) with N = sum tau, and
-the row bounds of each.  The position-wise work (embedding, projections,
-residuals, LayerNorm, FFN and their gradients) runs once over all N rows,
-and attention and its backward run on each sequence's own rows, as
-(1, heads, tau, d_k) blocks.  A single sequence is a pack of one.
+of several sequences stacked with no padding, ids (N,) and hidden states
+(N, d_model) with N = sum tau, and the row bounds of each.  The
+position-wise work (embedding, projections, residuals, LayerNorm, FFN and
+their gradients) runs once over all N rows, and attention and its backward
+run on each sequence's own rows, as (heads, tau, d_k) blocks.  A single
+sequence is a pack of one.
 
 Sublayer composition per layer, with residual/normalization enabled
 (the default):
@@ -177,9 +178,8 @@ def _ln_forward(x, gain, bias):
 
 def _ln_backward(dy, cache):
     xhat, inv, gain = cache
-    lead = tuple(range(dy.ndim - 1))
-    dgain = (dy * xhat).sum(axis=lead)
-    dbias = dy.sum(axis=lead)
+    dgain = (dy * xhat).sum(axis=0)
+    dbias = dy.sum(axis=0)
     g = dy * gain
     dx = (g - g.mean(axis=-1, keepdims=True) - xhat * (g * xhat).mean(axis=-1, keepdims=True)) * inv
     return dx, dgain, dbias
@@ -194,24 +194,24 @@ def _ln_backward(dy, cache):
 
 
 def _split_heads(x, heads):
-    b, t, d = x.shape
-    return x.reshape(b, t, heads, d // heads).transpose(0, 2, 1, 3)
+    t, d = x.shape
+    return x.reshape(t, heads, d // heads).transpose(1, 0, 2)
 
 
 def _merge_heads(x):
-    b, h, t, dk = x.shape
-    return x.transpose(0, 2, 1, 3).reshape(b, t, h * dk)
+    h, t, dk = x.shape
+    return x.transpose(1, 0, 2).reshape(t, h * dk)
 
 
 def _attn_forward(h_in, p, pre, cfg: EncoderConfig, bounds, keep_cache=False):
     """Multi-head scaled dot-product attention with output projection on a
-    pack (1, N, d_model): sequence j holds rows bounds[j]:bounds[j + 1] and
-    attends to those rows only.  Returns (out, weights, cache).
+    pack (N, d_model): sequence j holds rows bounds[j]:bounds[j + 1] and
+    attends to those rows only.  Returns (out, cache).
 
-    With ``keep_cache``, ``weights`` lists each sequence's (1, heads, tau,
-    tau) attention matrix and ``cache`` holds what ``_attn_backward`` reads;
-    without it both are None and each sequence's weights are freed once its
-    context is computed."""
+    With ``keep_cache``, ``cache`` holds what ``_attn_backward`` reads, its
+    fifth entry the list of each sequence's (heads, tau, tau) attention
+    matrix; without it the cache is None and each sequence's weights are
+    freed once its context is computed."""
     q = _split_heads(h_in @ p[pre + "w_q"], cfg.heads)
     k = _split_heads(h_in @ p[pre + "w_k"], cfg.heads)
     v = _split_heads(h_in @ p[pre + "w_v"], cfg.heads)
@@ -219,45 +219,44 @@ def _attn_forward(h_in, p, pre, cfg: EncoderConfig, bounds, keep_cache=False):
     ctx = np.empty_like(h_in, dtype=v.dtype)
     for s, e in zip(bounds, bounds[1:]):
         # softmax(Q K^T / sqrt(d_k)), scaled and normalized inside the one
-        # (1, heads, tau, tau) array the matmul returns
-        w = q[:, :, s:e] @ k[:, :, s:e].transpose(0, 1, 3, 2)
+        # (heads, tau, tau) array the matmul returns
+        w = q[:, s:e] @ k[:, s:e].transpose(0, 2, 1)
         w /= math.sqrt(cfg.d_k)
         softmax_last(w, out=w)
-        ctx[:, s:e] = _merge_heads(w @ v[:, :, s:e])
+        ctx[s:e] = _merge_heads(w @ v[:, s:e])
         if keep_cache:
             weights.append(w)
     out = ctx @ p[pre + "w_o"]
     out += p[pre + "b_o"]
     cache = (h_in, q, k, v, weights, ctx, bounds) if keep_cache else None
-    return out, weights, cache
+    return out, cache
 
 
 def _attn_backward(dout, cache, p, pre, cfg: EncoderConfig, grads):
     h_in, q, k, v, weights, ctx, bounds = cache
-    flat = lambda x: x.reshape(-1, x.shape[-1])
 
-    d_wo = flat(ctx).T @ flat(dout)
-    d_bo = dout.sum(axis=(0, 1))
+    d_wo = ctx.T @ dout
+    d_bo = dout.sum(axis=0)
     do_h = _split_heads(dout @ p[pre + "w_o"].T, cfg.heads)
 
     # Each sequence's d q, d k and d v are written into its rows of the
-    # merged (1, N, d_model) arrays through their split-heads views.
+    # merged (N, d_model) arrays through their split-heads views.
     dq_lin, dk_lin, dv_lin = (np.empty_like(ctx) for _ in range(3))
     dq, dk, dv = (_split_heads(x, cfg.heads) for x in (dq_lin, dk_lin, dv_lin))
     for s, e, w in zip(bounds, bounds[1:], weights):
-        do_j = do_h[:, :, s:e]
-        dv[:, :, s:e] = w.transpose(0, 1, 3, 2) @ do_j
+        do_j = do_h[:, s:e]
+        dv[:, s:e] = w.transpose(0, 2, 1) @ do_j
         # d weights, turned into d scores in place: (dw - rowdot) * w / sqrt(d_k)
-        dscores = do_j @ v[:, :, s:e].transpose(0, 1, 3, 2)
+        dscores = do_j @ v[:, s:e].transpose(0, 2, 1)
         dscores -= (dscores * w).sum(axis=-1, keepdims=True)
         dscores *= w
         dscores /= math.sqrt(cfg.d_k)
-        dq[:, :, s:e] = dscores @ k[:, :, s:e]
-        dk[:, :, s:e] = dscores.transpose(0, 1, 3, 2) @ q[:, :, s:e]
+        dq[:, s:e] = dscores @ k[:, s:e]
+        dk[:, s:e] = dscores.transpose(0, 2, 1) @ q[:, s:e]
 
-    grads[pre + "w_q"] = flat(h_in).T @ flat(dq_lin)
-    grads[pre + "w_k"] = flat(h_in).T @ flat(dk_lin)
-    grads[pre + "w_v"] = flat(h_in).T @ flat(dv_lin)
+    grads[pre + "w_q"] = h_in.T @ dq_lin
+    grads[pre + "w_k"] = h_in.T @ dk_lin
+    grads[pre + "w_v"] = h_in.T @ dv_lin
     grads[pre + "w_o"] = d_wo
     grads[pre + "b_o"] = d_bo
     return dq_lin @ p[pre + "w_q"].T + dk_lin @ p[pre + "w_k"].T + dv_lin @ p[pre + "w_v"].T
@@ -277,13 +276,12 @@ def _ffn_forward(a, p, pre):
 
 def _ffn_backward(dout, cache, p, pre, grads):
     a, r = cache
-    flat = lambda x: x.reshape(-1, x.shape[-1])
-    d_w2 = flat(r).T @ flat(dout)
-    d_b2 = dout.sum(axis=(0, 1))
+    d_w2 = r.T @ dout
+    d_b2 = dout.sum(axis=0)
     du = dout @ p[pre + "w2"].T
     du *= r > 0  # r = relu(u), so r > 0 exactly where u > 0
-    grads[pre + "w1"] = flat(a).T @ flat(du)
-    grads[pre + "b1"] = du.sum(axis=(0, 1))
+    grads[pre + "w1"] = a.T @ du
+    grads[pre + "b1"] = du.sum(axis=0)
     grads[pre + "w2"] = d_w2
     grads[pre + "b2"] = d_b2
     return du @ p[pre + "w1"].T
@@ -299,7 +297,7 @@ def layer_slice(params: dict[str, np.ndarray], i: int) -> dict[str, np.ndarray]:
 
 
 def _layer_forward(h_prev, p, pre, cfg: EncoderConfig, bounds, keep_cache=False):
-    attn_out, _, c_attn = _attn_forward(h_prev, p, pre + "attn.", cfg, bounds, keep_cache)
+    attn_out, c_attn = _attn_forward(h_prev, p, pre + "attn.", cfg, bounds, keep_cache)
     if cfg.use_residual_norm:
         attn_out += h_prev
         a, c_ln1 = _ln_forward(attn_out, p[pre + "ln1.gain"], p[pre + "ln1.bias"])
@@ -341,16 +339,16 @@ def scaled_attention(h_prev: np.ndarray, layer_params: dict[str, np.ndarray],
     """
     if not np.all(np.isfinite(h_prev)):
         raise ValidationError("attention input must be finite")
-    out, weights, _ = _attn_forward(h_prev[None], layer_params, "attn.", cfg,
-                                    [0, len(h_prev)], return_weights)
-    return (out[0], weights[0][0]) if return_weights else out[0]
+    out, cache = _attn_forward(h_prev, layer_params, "attn.", cfg, [0, len(h_prev)],
+                               return_weights)
+    return (out, cache[4][0]) if return_weights else out
 
 
 def encoder_layer(h_prev: np.ndarray, layer_params: dict[str, np.ndarray],
                   cfg: EncoderConfig) -> np.ndarray:
     """One full encoder layer on a single (tau, d_model) input, a pack of one."""
-    out, _ = _layer_forward(h_prev[None], layer_params, "", cfg, [0, len(h_prev)])
-    return out[0]
+    out, _ = _layer_forward(h_prev, layer_params, "", cfg, [0, len(h_prev)])
+    return out
 
 
 def _embed(ids: np.ndarray, params, cfg: EncoderConfig, bounds):
@@ -364,7 +362,7 @@ def _embed(ids: np.ndarray, params, cfg: EncoderConfig, bounds):
         raise ValidationError(f"sequence length {t} exceeds max_len={cfg.max_len}")
     x = params["tok_emb"][ids]
     for start, n in zip(bounds, lengths):  # positions restart at 0 for each sequence
-        x[:, start:start + n] += params["pos_emb"][:n]
+        x[start:start + n] += params["pos_emb"][:n]
     # The tables may be float64 master arrays under a float32 serving config
     # (pipeline.serving_model); only the looked-up rows are cast.
     return x.astype(cfg.np_dtype, copy=False)
@@ -372,8 +370,8 @@ def _embed(ids: np.ndarray, params, cfg: EncoderConfig, bounds):
 
 def forward_batch(ids: np.ndarray, params: dict[str, np.ndarray], cfg: EncoderConfig,
                   *, bounds: list[int], keep_cache: bool = True):
-    """Encode a pack: ids (1, N) of sequences stacked at the row offsets
-    ``bounds``; returns (H (1, N, d_model), cache).
+    """Encode a pack: ids (N,) of sequences stacked at the row offsets
+    ``bounds``; returns (H (N, d_model), cache).
 
     A training pack keeps the layer caches that ``backward_batch`` reads.
     Serving passes ``keep_cache=False``: its cache is None and each layer's
@@ -390,16 +388,17 @@ def forward_batch(ids: np.ndarray, params: dict[str, np.ndarray], cfg: EncoderCo
 
 def backward_batch(dh: np.ndarray, cache, params: dict[str, np.ndarray],
                    cfg: EncoderConfig) -> dict[str, np.ndarray]:
-    """Gradients of every encoder tensor given dLoss/dH^L (1, N, d_model)."""
+    """Gradients of every encoder tensor given dLoss/dH^L (N, d_model) of the
+    pack whose ``forward_batch`` cache is ``cache``."""
     ids, bounds, layer_caches = cache
     grads: dict[str, np.ndarray] = {}
     for i in reversed(range(cfg.layers)):
         dh = _layer_backward(dh, layer_caches[i], params, f"layer{i}.", cfg, grads)
     d_tok = np.zeros_like(params["tok_emb"])
-    np.add.at(d_tok, ids.reshape(-1), dh.reshape(-1, dh.shape[-1]))
+    np.add.at(d_tok, ids, dh)
     d_pos = np.zeros_like(params["pos_emb"])
     for s, e in zip(bounds, bounds[1:]):
-        d_pos[:e - s] += dh[0, s:e]
+        d_pos[:e - s] += dh[s:e]
     grads["tok_emb"] = d_tok
     grads["pos_emb"] = d_pos
     return grads
@@ -416,13 +415,13 @@ def encode(seq: InputSequence | list[InputSequence] | list[int] | np.ndarray,
         ids, bounds = pack_ids(seq)
     else:
         ids = np.asarray(seq.ids if isinstance(seq, InputSequence) else seq, dtype=np.int64)
-        ids, bounds = ids[None], [0, ids.shape[-1]]
+        bounds = [0, len(ids)]
     h, _ = forward_batch(ids, params, cfg, bounds=bounds, keep_cache=False)
-    return h[0]
+    return h
 
 
 def pack_ids(seqs) -> tuple[np.ndarray, list[int]]:
-    """The ids (1, N) and row bounds of sequences (anything with ``ids`` and
+    """The ids (N,) and row bounds of sequences (anything with ``ids`` and
     ``tau``) stacked as one pack, in order."""
     ids = np.fromiter(chain.from_iterable(s.ids for s in seqs), dtype=np.int64)
-    return ids[None], np.cumsum([0, *(s.tau for s in seqs)]).tolist()
+    return ids, np.cumsum([0, *(s.tau for s in seqs)]).tolist()

@@ -24,9 +24,9 @@ from .encoder import EncoderConfig
 from .errors import PlanError, ValidationError, read_text
 from .locator import Verdict
 from .model import ModelBundle, new_model
-# infer_verdict and serving_model are not called here; perfbench/tracer.py and
-# tests/test_serving.py wrap them under this module's name.
-from .pipeline import infer_verdict, infer_verdicts, serving_model  # noqa: F401
+# infer_verdict is not called here; perfbench/tracer.py wraps it under this
+# module's name.
+from .pipeline import infer_verdict, infer_verdicts  # noqa: F401
 from .qnorm import split_words
 from .seqbuild import RESERVED, VOCAB_SIZE, Vocabulary, build_vocab, tokenize
 from .synthetic import SyntheticConfig, generate_synthetic

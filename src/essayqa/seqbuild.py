@@ -190,8 +190,7 @@ def _essay_columns(essay: str, vocab: Vocabulary) -> Columns:
 @dataclass(frozen=True)
 class InputSequence:
     """T = ([CLS], question, [SEP], essay) as parallel columns, one entry per
-    position; the special symbols have None offsets.  ``tokens`` and
-    ``token_at`` build ``Token`` views on demand."""
+    position; the special symbols have None offsets."""
 
     ids: tuple[int, ...]
     surfaces: tuple[str, ...]
@@ -209,20 +208,6 @@ class InputSequence:
     def essay_start_pos(self) -> int:
         """First essay position, 1-indexed (= m + 3)."""
         return self.m + 3
-
-    @property
-    def tokens(self) -> tuple[Token, ...]:
-        return tuple(self.token_at(pos) for pos in range(1, self.tau + 1))
-
-    def token_at(self, pos: int) -> Token:
-        """Token at 1-indexed position."""
-        if not 1 <= pos <= self.tau:
-            raise IndexError(f"position {pos} outside [1, {self.tau}]")
-        i = pos - 1
-        segment = ("special" if pos in (1, self.m + 2)
-                   else "question" if pos <= self.m + 1 else "essay")
-        return Token(self.ids[i], self.surfaces[i], self.char_starts[i], self.char_ends[i],
-                     segment)
 
 
 def assemble(

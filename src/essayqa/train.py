@@ -34,7 +34,7 @@ from .encoder import EncoderConfig, backward_batch, forward_batch, pack_ids, sof
 from .errors import EssayQAError, OversizedQuestionError, ValidationError
 from .heads import log_softmax_positions, span_logits, verifier_logits
 from .model import ModelBundle
-from .pipeline import infer_verdict, serving_model
+from .pipeline import infer_verdicts
 from .qnorm import RewriteRuleSet, normalize
 from .seqbuild import Vocabulary, assemble
 
@@ -167,7 +167,6 @@ def _part_loss_and_grads(params: dict[str, np.ndarray], cfg: EncoderConfig,
     gradients, from one packed encoder forward and backward."""
     ids, bounds = pack_ids(part)
     h, cache = forward_batch(ids, params, cfg, bounds=bounds)
-    h = h[0]
     cls = np.array(bounds[:-1])  # each sequence's [CLS] row
 
     # The start and end logits are the rows of one (2, N) array; each
@@ -201,7 +200,7 @@ def _part_loss_and_grads(params: dict[str, np.ndarray], cfg: EncoderConfig,
     }
     dh = d_span[0][:, None] * params["span.w_start"] + d_span[1][:, None] * params["span.w_end"]
     dh[cls] += d_v @ params["verify.w"].T
-    grads.update(backward_batch(dh[None], cache, params, cfg))
+    grads.update(backward_batch(dh, cache, params, cfg))
     return loss, grads
 
 
@@ -301,21 +300,15 @@ def select_zeta(model: ModelBundle, dev: list[QAExample]) -> float:
     Candidates are midpoints between consecutive observed score_final values
     plus sentinels beyond both extremes; ties break toward the smallest
     threshold.  With no usable dev examples the model's current zeta wins.
-    The finals are the served ones, computed in float32 like every verdict.
+    The finals are the served ones, computed in float32 and in packs like
+    every verdict; oversized questions have none and are left out.
     """
-    served = serving_model(model)
-    finals: list[float] = []
-    golds: list[bool] = []
-    for ex in dev:
-        verdict = infer_verdict(served, ex.question, ex.context)
-        if verdict.scores is None:  # oversized question
-            continue
-        finals.append(verdict.scores.score_final)
-        golds.append(ex.answerable)
-    if not finals:
+    verdicts = infer_verdicts(model, [(ex.question, ex.context) for ex in dev])
+    scored = [(v.scores.score_final, ex.answerable)
+              for v, ex in zip(verdicts, dev) if v.scores is not None]
+    if not scored:
         return model.zeta
-    values = np.array(finals)
-    gold = np.array(golds)
+    values, gold = map(np.array, zip(*scored))
     uniq = np.unique(values)
     candidates = np.concatenate([
         [uniq[0] - 1.0], (uniq[:-1] + uniq[1:]) / 2.0, [uniq[-1] + 1.0]

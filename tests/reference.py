@@ -187,7 +187,7 @@ def ref_char_span_to_positions(seq, char_start, char_end):
     character range, or None."""
     hits = [
         pos for pos in range(seq.essay_start_pos, seq.tau + 1)
-        if (tok := seq.token_at(pos)).char_start < char_end and tok.char_end > char_start
+        if seq.char_starts[pos - 1] < char_end and seq.char_ends[pos - 1] > char_start
     ]
     if not hits:
         return None

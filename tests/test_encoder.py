@@ -216,10 +216,10 @@ class TestEncode:
         lengths = (1, 3, 9, 14, 57, 120, 199, 200)
         seqs = [RNG.integers(0, cfg.vocab_size, size=n) for n in lengths]
         bounds = np.cumsum([0, *lengths]).tolist()
-        h, cache = forward_batch(np.concatenate(seqs)[None], params, cfg, bounds=bounds)
-        assert h.shape == (1, sum(lengths), cfg.d_model) and cache is not None
+        h, cache = forward_batch(np.concatenate(seqs), params, cfg, bounds=bounds)
+        assert h.shape == (sum(lengths), cfg.d_model) and cache is not None
         for seq, s, e in zip(seqs, bounds, bounds[1:]):
-            assert h[0, s:e].tobytes() == encode(seq, params, cfg).tobytes()
+            assert h[s:e].tobytes() == encode(seq, params, cfg).tobytes()
 
     def test_residual_norm_on_both_layers_used(self):
         cfg = small_config()
@@ -317,33 +317,29 @@ def ref_attn_forward(h_in, p, pre, cfg, bounds, keep_cache=False):
     k = _split_heads(h_in @ p[pre + "w_k"], cfg.heads)
     v = _split_heads(h_in @ p[pre + "w_v"], cfg.heads)
     spans = list(zip(bounds[:-1], bounds[1:]))  # the same formula on each sequence's rows
-    weights = [ref_softmax(q[:, :, s:e] @ k[:, :, s:e].transpose(0, 1, 3, 2)
-                           / math.sqrt(cfg.d_k)) for s, e in spans]
-    ctx = np.concatenate([_merge_heads(w @ v[:, :, s:e]) for w, (s, e) in zip(weights, spans)],
-                         axis=1)
+    weights = [ref_softmax(q[:, s:e] @ k[:, s:e].transpose(0, 2, 1) / math.sqrt(cfg.d_k))
+               for s, e in spans]
+    ctx = np.concatenate([_merge_heads(w @ v[:, s:e]) for w, (s, e) in zip(weights, spans)])
     out = ctx @ p[pre + "w_o"] + p[pre + "b_o"]
-    if not keep_cache:
-        return out, None, None
-    return out, weights, (h_in, q, k, v, weights, ctx, bounds)
+    return out, (h_in, q, k, v, weights, ctx, bounds) if keep_cache else None
 
 
 def ref_attn_backward(dout, cache, p, pre, cfg, grads):
     h_in, q, k, v, weights, ctx, bounds = cache
-    flat = lambda x: x.reshape(-1, x.shape[-1])
-    grads_o = (flat(ctx).T @ flat(dout), dout.sum(axis=(0, 1)))
+    grads_o = (ctx.T @ dout, dout.sum(axis=0))
     do_h = _split_heads(dout @ p[pre + "w_o"].T, cfg.heads)
     dq, dk, dv = [], [], []
     for w, s, e in zip(weights, bounds, bounds[1:]):
-        dweights = do_h[:, :, s:e] @ v[:, :, s:e].transpose(0, 1, 3, 2)
-        dv.append(w.transpose(0, 1, 3, 2) @ do_h[:, :, s:e])
+        dweights = do_h[:, s:e] @ v[:, s:e].transpose(0, 2, 1)
+        dv.append(w.transpose(0, 2, 1) @ do_h[:, s:e])
         rowdot = (dweights * w).sum(axis=-1, keepdims=True)
         dscores = (dweights - rowdot) * w / math.sqrt(cfg.d_k)
-        dq.append(dscores @ k[:, :, s:e])
-        dk.append(dscores.transpose(0, 1, 3, 2) @ q[:, :, s:e])
-    dq, dk, dv = (_merge_heads(np.concatenate(x, axis=2)) for x in (dq, dk, dv))
-    grads[pre + "w_q"] = flat(h_in).T @ flat(dq)
-    grads[pre + "w_k"] = flat(h_in).T @ flat(dk)
-    grads[pre + "w_v"] = flat(h_in).T @ flat(dv)
+        dq.append(dscores @ k[:, s:e])
+        dk.append(dscores.transpose(0, 2, 1) @ q[:, s:e])
+    dq, dk, dv = (_merge_heads(np.concatenate(x, axis=1)) for x in (dq, dk, dv))
+    grads[pre + "w_q"] = h_in.T @ dq
+    grads[pre + "w_k"] = h_in.T @ dk
+    grads[pre + "w_v"] = h_in.T @ dv
     grads[pre + "w_o"], grads[pre + "b_o"] = grads_o
     return dq @ p[pre + "w_q"].T + dk @ p[pre + "w_k"].T + dv @ p[pre + "w_v"].T
 
@@ -364,12 +360,11 @@ def ref_ffn_forward(a, p, pre):
 
 def ref_ffn_backward(dout, cache, p, pre, grads):
     a, u, r = cache
-    flat = lambda x: x.reshape(-1, x.shape[-1])
     du = (dout @ p[pre + "w2"].T) * (u > 0)
-    grads[pre + "w1"] = flat(a).T @ flat(du)
-    grads[pre + "b1"] = du.sum(axis=(0, 1))
-    grads[pre + "w2"] = flat(r).T @ flat(dout)
-    grads[pre + "b2"] = dout.sum(axis=(0, 1))
+    grads[pre + "w1"] = a.T @ du
+    grads[pre + "b1"] = du.sum(axis=0)
+    grads[pre + "w2"] = r.T @ dout
+    grads[pre + "b2"] = dout.sum(axis=0)
     return du @ p[pre + "w1"].T
 
 

@@ -57,9 +57,7 @@ class TestLocateResponse:
         verdict = locate_response(dist, SEQ, answered_scores(), ESSAY)
         assert verdict.answered
         assert verdict.token_span == (start, end)
-        first = SEQ.token_at(start)
-        last = SEQ.token_at(end)
-        assert verdict.span.text == ESSAY[first.char_start: last.char_end]
+        assert verdict.span.text == ESSAY[SEQ.char_starts[start - 1]: SEQ.char_ends[end - 1]]
         assert verdict.span.text == "I will travel"
 
     # the first question token, the last question token (m+1) and [SEP] (m+2)
@@ -104,16 +102,16 @@ class TestLocateResponse:
 class TestSpanToChars:
     def test_single_token(self):
         pos = SEQ.essay_start_pos
-        tok = SEQ.token_at(pos)
+        start, end = SEQ.char_starts[pos - 1], SEQ.char_ends[pos - 1]
         span = span_to_chars((pos, pos), SEQ, ESSAY)
-        assert (span.char_start, span.char_end) == (tok.char_start, tok.char_end)
-        assert span.text == ESSAY[tok.char_start: tok.char_end]
+        assert (span.char_start, span.char_end) == (start, end)
+        assert span.text == ESSAY[start:end]
 
     def test_union_includes_gap_text(self):
         a, b = SEQ.essay_start_pos, SEQ.essay_start_pos + 2
         span = span_to_chars((a, b), SEQ, ESSAY)
-        assert span.char_start == SEQ.token_at(a).char_start
-        assert span.char_end == SEQ.token_at(b).char_end
+        assert span.char_start == SEQ.char_starts[a - 1]
+        assert span.char_end == SEQ.char_ends[b - 1]
         assert " " in span.text
 
     def test_special_position_rejected(self):

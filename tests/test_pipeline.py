@@ -158,8 +158,7 @@ class TestEvaluateTokenizesOnce:
         monkeypatch.undo()
         expected = self._independent(request, max_len)
         for got, want in zip(built, expected):
-            assert got.tokens == want.tokens
-            assert (got.m, got.n, got.truncated) == (want.m, want.n, want.truncated)
+            assert got == want
         if max_len == 80:
             # only the long question leaves too few slots for the whole essay
             assert [seq.truncated for seq in built] == [False, True, False]

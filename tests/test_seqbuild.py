@@ -112,14 +112,11 @@ class TestAssemble:
 
     def test_layout(self, tiny_vocab):
         seq = assemble("will travel", "I will travel to Japan", tiny_vocab)
-        assert seq.tokens[0].surface == CLS
-        assert seq.token_at(1).surface == CLS
-        assert seq.token_at(seq.m + 2).surface == SEP
-        assert seq.token_at(seq.essay_start_pos).surface == "i"
-        assert all(t.segment == "question" for t in seq.tokens[1: seq.m + 1])
-        assert all(t.segment == "essay" for t in seq.tokens[seq.m + 2:])
+        assert seq.surfaces[0] == CLS
+        assert seq.surfaces[seq.m + 1] == SEP
+        assert seq.surfaces[seq.essay_start_pos - 1] == "i"
         # no trailing [SEP]: T ends with the last essay token
-        assert seq.tokens[-1].surface != SEP
+        assert seq.surfaces[-1] != SEP
 
     def test_truncation_from_end(self, tiny_vocab):
         q = "will travel to japan in the summer to meet sally"  # 10 tokens
@@ -129,10 +126,10 @@ class TestAssemble:
         assert seq.n == 500
         assert seq.tau == 512
         assert seq.truncated
-        surviving = [t for t in seq.tokens if t.segment == "essay"]
-        assert surviving[-1].char_end <= len(essay)
+        essay_starts = seq.char_starts[seq.essay_start_pos - 1:]
+        assert seq.char_ends[-1] <= len(essay)
         # removed from the END: all surviving offsets precede the cut
-        assert surviving == sorted(surviving, key=lambda t: t.char_start)
+        assert list(essay_starts) == sorted(essay_starts)
 
     def test_truncation_boundary_arithmetic(self):
         vocab = Vocabulary(list(RESERVED) + ["w"])
@@ -183,10 +180,10 @@ class TestProperties:
         vocab = build_vocab([" ".join(WORD_POOL)], size=100)
         seq = assemble("travel japan", essay, vocab)
         assert seq.tau == seq.m + seq.n + 2
-        for tok in seq.tokens:
-            if tok.segment == "essay":
-                assert essay[tok.char_start: tok.char_end].lower() == tok.surface \
-                    or tok.surface == UNK
+        lo = seq.essay_start_pos - 1
+        for surface, start, end in zip(seq.surfaces[lo:], seq.char_starts[lo:],
+                                       seq.char_ends[lo:]):
+            assert essay[start:end].lower() == surface or surface == UNK
 
     @given(essays(), st.integers(min_value=8, max_value=40))
     @settings(max_examples=100, deadline=None)
@@ -277,8 +274,8 @@ class TestTokenizationReuse:
         assert b._word_memo["ab"] == ((4, "ab", 0, 2),)
         seq_a = assemble("a", "ab ba", a)
         seq_b = assemble("a", "ab ba", b)
-        assert [t.id for t in seq_a.tokens[3:]] == [6, 5, 4]
-        assert [t.id for t in seq_b.tokens[3:]] == [4, 5, 6]
+        assert seq_a.ids[3:] == (6, 5, 4)
+        assert seq_b.ids[3:] == (4, 5, 6)
 
     def test_cap_bounds_memo_and_keeps_tokens(self, monkeypatch):
         monkeypatch.setattr(seqbuild, "WORD_MEMO_CAP", 8)
@@ -347,8 +344,8 @@ class TestTokenizationReuse:
 
 
 class TestColumnsMatchPerToken:
-    """assemble() builds columns and Token views on demand; everything it
-    shows must equal the one-Token-per-token build of the reference."""
+    """assemble() builds parallel columns; each must equal the
+    one-Token-per-token build of the reference."""
 
     @given(st.lists(memo_texts().filter(str.strip), min_size=1, max_size=3),
            st.lists(memo_texts().filter(str.strip), min_size=1, max_size=3),
@@ -368,13 +365,9 @@ class TestColumnsMatchPerToken:
                     continue
                 tokens, m, n, truncated = want
                 seq = assemble(question, essay, vocab, max_len=max_len)
-                assert seq.ids == tuple(t.id for t in tokens)
                 assert (seq.m, seq.n, seq.truncated, seq.tau) == (m, n, truncated, len(tokens))
-                assert seq.tokens == tokens
-                assert [seq.token_at(pos) for pos in range(1, seq.tau + 1)] == list(tokens)
-                for pos in (0, seq.tau + 1):
-                    with pytest.raises(IndexError):
-                        seq.token_at(pos)
+                assert list(zip(seq.ids, seq.surfaces, seq.char_starts, seq.char_ends)) == \
+                    [(t.id, t.surface, t.char_start, t.char_end) for t in tokens]
 
     @given(memo_texts(), st.sampled_from(["essay", "question"]))
     @settings(max_examples=100, deadline=None)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from essayqa import evalharness, heads, pipeline, qnorm, train
+from essayqa import heads, pipeline, qnorm, train
 from essayqa.checkpoint import save_model
 from essayqa.cli import cli_main
 from essayqa.corpus import save_sed_format
@@ -129,14 +129,14 @@ class TestOneServingPrecision:
                          for line in capsys.readouterr().out.splitlines()]
 
         inside: list[float] = []
-        original = train.infer_verdict
+        original = train.infer_verdicts
 
         def capture(*args):
-            verdict = original(*args)
-            inside.append(verdict.scores.score_final)
-            return verdict
+            verdicts = original(*args)
+            inside.extend(record(verdicts))
+            return verdicts
 
-        monkeypatch.setattr(train, "infer_verdict", capture)
+        monkeypatch.setattr(train, "infer_verdicts", capture)
         select_zeta(model, EXAMPLES)
         finals["select_zeta"] = inside
 
@@ -179,8 +179,7 @@ class TestOneServingPrecision:
                 copies.append(model)
             return served
 
-        for module in (pipeline, evalharness, train):
-            monkeypatch.setattr(module, "serving_model", counting)
+        monkeypatch.setattr(pipeline, "serving_model", counting)
         if call == "evaluate":
             essay = EXAMPLES[0].context
             evaluate(EvaluationRequest(essay=essay, model=model,
@@ -326,3 +325,13 @@ class TestPacking:
         monkeypatch.setattr(pipeline, "encode", original)
         assert list(by_id.values()) == [infer_verdict(packing_model, ex.question, ex.context)
                                         for ex in corpus]
+
+    def test_select_zeta_encodes_its_dev_split_in_packs(self, monkeypatch, packing_model):
+        calls = []
+        original = pipeline.encode
+        monkeypatch.setattr(pipeline, "encode", lambda seqs, params, cfg: (
+            calls.append(len(seqs)) or original(seqs, params, cfg)))
+        dev = EXAMPLES[:8]
+        assert sum(tau_of(packing_model, ex) for ex in dev) <= pipeline._PACK_ROWS
+        select_zeta(packing_model, dev)
+        assert calls == [len(dev)]

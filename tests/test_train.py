@@ -109,10 +109,8 @@ class TestPrepareExamples:
         for raw, prep in zip(corpus, prepared):
             seq = assemble(normalize(raw.question, RULES), raw.context, model.vocab)
             ans = raw.gold_answers[0]
-            lo = seq.token_at(prep.gold_start)
-            hi = seq.token_at(prep.gold_end)
-            assert lo.char_start <= ans.char_start
-            assert hi.char_end >= ans.char_start + len(ans.text)
+            assert seq.char_starts[prep.gold_start - 1] <= ans.char_start
+            assert seq.char_ends[prep.gold_end - 1] >= ans.char_start + len(ans.text)
 
     def test_oversized_question_skipped_and_counted(self):
         corpus = small_corpus(6)

@@ -38,7 +38,7 @@ _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(_ROOT, "src"), os.path.join(_ROOT, "tests")]
 
 from essayqa.evalharness import evaluate_verdicts, predict_corpus  # noqa: E402
-from essayqa.pipeline import infer_verdict  # noqa: E402
+from essayqa.pipeline import infer_verdicts  # noqa: E402
 from recipes import CRITERION8, FIXTURE, PROBES, synthetic  # noqa: E402
 
 RECIPES = {"criterion8": CRITERION8, "fixture": FIXTURE}
@@ -60,8 +60,8 @@ def run_seed(recipe: str, seed: int) -> dict:
     }
     if recipe == "fixture":
         probes = [ex for ex in train_set if ex.answerable][:PROBES]
-        row["probe_hits"] = sum(infer_verdict(model, ex.question, ex.context).answered
-                                for ex in probes)
+        row["probe_hits"] = sum(v.answered for v in infer_verdicts(
+            model, [(ex.question, ex.context) for ex in probes]))
     row["seconds"] = round(time.perf_counter() - t0, 1)
     return row
 
