@@ -8,7 +8,7 @@ Two on-disk layouts are understood:
   line with fields {example_id, question, context, answerable,
   gold_answers: [{text, char_start}]}.
 
-Every loaded answer is validated against its claimed offset.
+Every example checks its answers against their offsets when it is built.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ class QAExample:
     answerable: bool
     gold_answers: tuple[GoldAnswer, ...] = ()
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.answerable and not self.gold_answers:
             raise ValidationError(f"{self.example_id}: answerable example without gold answers")
         if not self.answerable and self.gold_answers:
@@ -90,8 +90,17 @@ def typed_field(obj: dict, key: str, kind: type | tuple[type, ...], default=_REQ
     return value
 
 
+def check_unique_ids(examples: list[QAExample]) -> None:
+    """ValidationError naming the first repeated id: results are keyed by id."""
+    seen: set[str] = set()
+    for ex in examples:
+        if ex.example_id in seen:
+            raise ValidationError(f"example_id {ex.example_id!r} repeats")
+        seen.add(ex.example_id)
+
+
 def load_squad(path: str) -> list[QAExample]:
-    """Flatten a SQuAD 2.0 file into one example per question."""
+    """Flatten a SQuAD 2.0 file into one example per question; ids must be unique."""
     try:
         payload = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
@@ -112,18 +121,17 @@ def load_squad(path: str) -> list[QAExample]:
                                    char_start=int(a["answer_start"]))
                         for a in qa.get("answers", [])
                     )
-                    ex = QAExample(
+                    examples.append(QAExample(
                         example_id=str(qa["id"]),
                         question=typed_field(qa, "question", str),
                         context=context,
                         answerable=not is_impossible,
                         gold_answers=answers,
-                    )
-                    ex.validate()
-                    examples.append(ex)
+                    ))
+        check_unique_ids(examples)
     except KeyError as exc:
         raise ValidationError(f"{path}: missing field {exc}") from exc
-    except (AttributeError, TypeError, ValueError) as exc:
+    except (AttributeError, TypeError, ValueError, ValidationError) as exc:
         raise ValidationError(f"{path}: malformed entry: {exc}") from exc
     return examples
 
@@ -152,8 +160,9 @@ def read_json_lines(path: str) -> Iterator[tuple[int, dict]]:
 
 
 def load_sed_format(path: str) -> list[QAExample]:
-    """Load the line-delimited essay-record format, validating offsets."""
+    """Load the line-delimited essay-record format; example ids must be unique."""
     examples: list[QAExample] = []
+    first_line: dict[str, int] = {}
     for lineno, obj in read_json_lines(path):
         try:
             ex = QAExample(
@@ -168,9 +177,12 @@ def load_sed_format(path: str) -> list[QAExample]:
             )
         except KeyError as exc:
             raise ValidationError(f"{path}:{lineno}: missing field {exc}") from exc
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, ValidationError) as exc:
             raise ValidationError(f"{path}:{lineno}: malformed record: {exc}") from exc
-        ex.validate()
+        first = first_line.setdefault(ex.example_id, lineno)
+        if first != lineno:
+            raise ValidationError(f"{path}:{lineno}: example_id {ex.example_id!r} "
+                                  f"repeats line {first}")
         examples.append(ex)
     return examples
 

@@ -311,16 +311,14 @@ def _layer_forward(h_prev, p, pre, cfg: EncoderConfig, bounds, keep_cache=False)
 
 def _layer_backward(dh_out, cache, p, pre, cfg: EncoderConfig, grads):
     c_attn, c_ln1, c_ffn, c_ln2 = cache
-    ffn_grads: dict[str, np.ndarray] = {}
     if cfg.use_residual_norm:
         dr2, grads[pre + "ln2.gain"], grads[pre + "ln2.bias"] = _ln_backward(dh_out, c_ln2)
-        da = dr2 + _ffn_backward(dr2, c_ffn, p, pre + "ffn.", ffn_grads)
+        da = dr2 + _ffn_backward(dr2, c_ffn, p, pre + "ffn.", grads)
         dr1, grads[pre + "ln1.gain"], grads[pre + "ln1.bias"] = _ln_backward(da, c_ln1)
         dattn_out = dh_prev_res = dr1
     else:
-        dattn_out = _ffn_backward(dh_out, c_ffn, p, pre + "ffn.", ffn_grads)
+        dattn_out = _ffn_backward(dh_out, c_ffn, p, pre + "ffn.", grads)
         dh_prev_res = 0.0
-    grads.update(ffn_grads)  # gradient keys keep their order: ln2, ln1, ffn, attn
     return _attn_backward(dattn_out, c_attn, p, pre + "attn.", cfg, grads) + dh_prev_res
 
 

@@ -19,7 +19,7 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .corpus import QAExample, load_any, typed_field
+from .corpus import QAExample, check_unique_ids, load_any, typed_field
 from .encoder import EncoderConfig
 from .errors import PlanError, ValidationError, read_text
 from .locator import Verdict
@@ -51,9 +51,10 @@ class EvalResult:
 
 
 def accuracy(predictions: dict[str, bool], gold: list[QAExample]) -> float:
-    """Fraction of examples whose answered flag matches; ids must align."""
+    """Fraction of examples whose answered flag matches; ids must be unique and align."""
     if not gold:
         raise ValidationError("empty test set")
+    check_unique_ids(gold)
     gold_ids = {ex.example_id for ex in gold}
     if gold_ids != set(predictions):
         missing = sorted(gold_ids - set(predictions))[:3]
@@ -134,7 +135,8 @@ def evaluate_verdicts(verdicts: dict[str, Verdict], gold: list[QAExample],
 
 
 def predict_corpus(model: ModelBundle, examples: list[QAExample]) -> dict[str, Verdict]:
-    """Verdict per example id; consecutive examples share encoder packs."""
+    """Verdict per (unique) example id; consecutive examples share encoder packs."""
+    check_unique_ids(examples)
     verdicts = infer_verdicts(model, [(ex.question, ex.context) for ex in examples])
     return {ex.example_id: v for ex, v in zip(examples, verdicts)}
 
@@ -181,17 +183,9 @@ class ExperimentPlan:
         _check_types("", vars(self), ExperimentPlan)
         if not self.stages:
             raise PlanError("plan needs at least one stage")
-        # run_experiment sets seed and vocab_size itself
-        _check_config("'model'", self.model, EncoderConfig, {"seed", "vocab_size"})
-        try:  # the values themselves, before any corpus is read
-            EncoderConfig(vocab_size=len(RESERVED), **self.model)
-        except ValidationError as exc:
-            raise PlanError(f"'model' {exc}") from None
-        _check_config("'train'", self.train, TrainConfig, {"seed"})
-        try:
-            train = TrainConfig(**self.train)
-        except ValidationError as exc:
-            raise PlanError(f"'train' {exc}") from None
+        # run_experiment sets seed and vocab_size; values are checked before any corpus is read
+        _build("'model'", EncoderConfig, self.model, vocab_size=len(RESERVED), seed=0)
+        train = _build("'train'", TrainConfig, self.train, seed=0)
         for stage in self.stages:
             try:
                 stage_config(train, stage)
@@ -202,16 +196,23 @@ class ExperimentPlan:
             _check_vocab(self.vocab)
 
 
-def _check_config(where: str, values: dict, config_cls, reserved: set[str]) -> None:
-    """A plan's ``model`` / ``train`` / synthetic-corpus object may set only
-    the fields of the config it builds, less those the runner sets itself,
-    each to a value of the field's type."""
-    allowed = {f.name for f in fields(config_cls)} - reserved
+def _build(where: str, cls, values: dict, **fixed):
+    """``cls`` from a plan's ``model`` / ``train`` / synthetic object, which may
+    set only the fields ``fixed`` leaves, each to a value of the field's type,
+    and must set those without a default; ``cls`` then checks the values."""
+    allowed = {f.name for f in fields(cls)} - set(fixed)
     unknown = sorted(set(values) - allowed)
     if unknown:
         raise PlanError(f"{where} has unknown key {unknown[0]!r} "
                         f"(allowed: {', '.join(sorted(allowed))})")
-    _check_types(f"{where} ", values, config_cls)
+    _check_types(f"{where} ", values, cls)
+    for f in fields(cls):
+        if f.default is MISSING and f.name not in values and f.name not in fixed:
+            raise PlanError(f"{where} is missing key {f.name!r}")
+    try:
+        return cls(**values, **fixed)
+    except ValidationError as exc:
+        raise PlanError(f"{where} {exc}") from None
 
 
 def _check_types(where: str, values: dict, cls) -> None:
@@ -229,7 +230,7 @@ def _check_types(where: str, values: dict, cls) -> None:
 
 def _check_corpus_spec(where: str, spec: str | dict | None) -> None:
     """An inline corpus spec is ``{"synthetic": {...}}`` holding the fields
-    of a ``SyntheticConfig``; a path or None is checked when it is read."""
+    of a valid ``SyntheticConfig``; a path or None is checked when it is read."""
     if not isinstance(spec, dict):
         return
     if set(spec) != {"synthetic"}:
@@ -239,10 +240,7 @@ def _check_corpus_spec(where: str, spec: str | dict | None) -> None:
         synthetic = typed_field(spec, "synthetic", dict)
     except TypeError as exc:
         raise PlanError(f"{where} {exc}") from None
-    _check_config(f"{where} synthetic spec", synthetic, SyntheticConfig, set())
-    for f in fields(SyntheticConfig):
-        if f.default is MISSING and f.name not in synthetic:
-            raise PlanError(f"{where} synthetic spec is missing key {f.name!r}")
+    _build(f"{where} synthetic spec", SyntheticConfig, synthetic)
 
 
 def _check_vocab(vocab: dict) -> None:

@@ -32,7 +32,7 @@ class EvaluationRequest:
     requirements: tuple[str, ...]
     model: ModelBundle
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if not self.essay or not self.essay.strip():
             raise ValidationError("essay must be nonempty")
         if not self.requirements:
@@ -43,8 +43,8 @@ class EvaluationRequest:
 
 
 _SERVING_DTYPE = "float32"
-# Left at the master dtype: encoder._embed casts only the rows it looks up,
-# which is cheaper than casting a whole vocab_size x d_model table per call.
+# Left at the master dtype: encoder._embed sums each token row and its
+# position row in float64 and casts only the sum, so verdicts keep their bits.
 _EMBEDDING_TABLES = ("tok_emb", "pos_emb")
 
 
@@ -138,5 +138,4 @@ def infer_verdict(model: ModelBundle, question: str, essay: str) -> Verdict:
 def evaluate(request: EvaluationRequest) -> list[Verdict]:
     """Verdicts for every requirement, in request order; the requirements
     share encoder packs."""
-    request.validate()
     return infer_verdicts(request.model, [(req, request.essay) for req in request.requirements])

@@ -251,7 +251,7 @@ class SyntheticConfig:
     noise_rate: float = 0.0
     id_prefix: str = "syn"
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.count <= 0:
             raise ValidationError("count must be positive")
         if not 0.0 <= self.answerable_ratio <= 1.0:
@@ -306,7 +306,6 @@ def generate_synthetic(cfg: SyntheticConfig) -> list[QAExample]:
     are assigned up front and shuffled, then essays are built to embed a
     responsive sentence for precisely their answerable requirements.
     """
-    cfg.validate()
     rng = np.random.default_rng(cfg.seed)
     templates, fillers = BANKS[cfg.bank]
 
@@ -381,7 +380,4 @@ def generate_synthetic(cfg: SyntheticConfig) -> list[QAExample]:
                 gold_answers=gold,
             ))
         index += group
-
-    for ex in examples:
-        ex.validate()
     return examples

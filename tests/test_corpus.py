@@ -66,6 +66,14 @@ class TestLoadSquad:
         with pytest.raises(ValidationError, match="q1"):
             load_squad(str(path))
 
+    def test_repeated_id_names_file(self, tmp_path):
+        payload = squad_payload()
+        payload["data"][0]["paragraphs"][0]["qas"][1]["id"] = "q1"
+        path = tmp_path / "dup.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ValidationError, match=r"dup\.json: .*example_id 'q1' repeats"):
+            load_squad(str(path))
+
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json", encoding="utf-8")
@@ -110,6 +118,18 @@ class TestLoadSquad:
             load_squad(str(path))
 
 
+class TestQAExample:
+    @pytest.mark.parametrize("answerable, golds", [
+        (True, (GoldAnswer("near the gate", 0),)),   # not at its offset
+        (True, (GoldAnswer("gate.", 20),)),          # past the context
+        (True, ()),
+        (False, (GoldAnswer("Meet", 0),)),
+    ])
+    def test_inconsistent_example_refused_when_built(self, answerable, golds):
+        with pytest.raises(ValidationError, match="^a: "):
+            QAExample("a", "where do we meet", "Meet near the gate.", answerable, golds)
+
+
 class TestSedFormat:
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.jsonl"
@@ -124,6 +144,27 @@ class TestSedFormat:
         path.write_text(json.dumps(rec) + "\n", encoding="utf-8")
         with pytest.raises(ValidationError):
             load_sed_format(str(path))
+
+    def test_record_failing_its_own_check_names_line(self, tmp_path):
+        good = {"example_id": "a", "question": "q", "context": "I agree.",
+                "answerable": False}
+        bad = {"example_id": "b", "question": "q", "context": "I agree.",
+               "answerable": True, "gold_answers": [{"text": "agree", "char_start": 0}]}
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n",
+                        encoding="utf-8")
+        with pytest.raises(ValidationError,
+                           match=r"bad\.jsonl:2: .*b: answer text does not match"):
+            load_sed_format(str(path))
+
+    def test_repeated_example_id_names_both_lines(self, tmp_path):
+        rec = {"example_id": "dup", "question": "q", "context": "I agree.",
+               "answerable": False}
+        path = tmp_path / "dup.jsonl"
+        path.write_text(json.dumps(rec) + "\n\n" + json.dumps(rec) + "\n", encoding="utf-8")
+        with pytest.raises(ValidationError) as info:
+            load_sed_format(str(path))
+        assert str(info.value) == f"{path}:3: example_id 'dup' repeats line 1"
 
     def test_round_trip_500_synthetic(self, tmp_path):
         examples = generate_synthetic(SyntheticConfig(count=500, seed=3))
@@ -295,10 +336,10 @@ class TestSyntheticGenerator:
                 expand({}, slot_items)
 
     def test_offsets_valid_with_noise(self):
+        # each example checks its gold offsets when it is built
         examples = generate_synthetic(SyntheticConfig(count=400, seed=12,
                                                       noise_rate=0.5))
-        for ex in examples:
-            ex.validate()
+        assert len(examples) == 400
 
     def test_gold_span_found_at_recorded_offset(self):
         examples = generate_synthetic(SyntheticConfig(count=300, seed=14))
@@ -343,11 +384,11 @@ class TestSyntheticGenerator:
 
     def test_bad_config_rejected(self):
         with pytest.raises(ValidationError):
-            SyntheticConfig(count=0).validate()
+            SyntheticConfig(count=0)
         with pytest.raises(ValidationError):
-            SyntheticConfig(count=10, answerable_ratio=1.5).validate()
+            SyntheticConfig(count=10, answerable_ratio=1.5)
         with pytest.raises(ValidationError):
-            SyntheticConfig(count=10, bank="nope").validate()
+            SyntheticConfig(count=10, bank="nope")
 
 
 class TestGoldenCorpora:

@@ -207,7 +207,7 @@ class TestEncode:
         h = encode(ids, params, cfg)
         assert np.all(np.isfinite(h))
 
-    def test_batched_padding_invariance(self):
+    def test_pack_rows_equal_each_sequence_alone(self):
         """Each sequence's rows of a training pack of 8 (layer caches kept)
         equal that sequence encoded alone, byte for byte: nothing beside it
         in the pack moves its H."""
@@ -462,7 +462,7 @@ class TestBitIdenticalToOutOfPlace:
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     @pytest.mark.parametrize("use_residual_norm", [True, False])
     @pytest.mark.parametrize("scale", [0.3, 3.0])
-    def test_masked_forward_and_loss_and_grads(self, monkeypatch, dtype,
+    def test_packed_forward_and_loss_and_grads(self, monkeypatch, dtype,
                                                use_residual_norm, scale):
         """A training pack, whose attention is confined to each sequence's
         own rows, and the loss and gradients of its batch."""
@@ -556,7 +556,7 @@ print(faults_per_call(lambda: encode(ids, params, cfg)),
 
 
 class TestFloat32:
-    def test_masked_forward_and_gradients_stay_float32_and_finite(self):
+    def test_packed_forward_and_gradients_stay_float32_and_finite(self):
         """A training pack's H, every array its layer caches hold, and the
         gradients stay float32."""
         cfg = small_config(dtype="float32")

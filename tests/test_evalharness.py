@@ -57,6 +57,11 @@ class TestAccuracy:
         with pytest.raises(ValidationError):
             accuracy({"other": True}, gold)
 
+    def test_repeated_gold_id_rejected(self):
+        gold = [gold_example("e0"), gold_example("e0", answerable=False)]
+        with pytest.raises(ValidationError, match="example_id 'e0' repeats"):
+            accuracy({"e0": True}, gold)
+
     def test_recount_oracle_10000(self):
         n = 10_000
         pred_flags = RNG.random(n) < 0.5

@@ -204,6 +204,9 @@ class TestPlanFile:
         ({"synthetic": {"seed": 1}}, "synthetic spec is missing key 'count'"),
         ({"synthetic": [20]}, "field 'synthetic' must be a JSON object"),
         ({"synth": {"count": 20}}, "must be a path or an object with the one key 'synthetic'"),
+        ({"synthetic": {"count": -5}}, "synthetic spec count must be positive"),
+        ({"synthetic": {"count": 10, "bank": "nope"}},
+         "synthetic spec unknown template bank 'nope'"),
     ])
     @pytest.mark.parametrize("where", ["eval_corpus", "corpus", "dev"])
     def test_bad_synthetic_spec_rejected(self, tmp_path, where, spec, message):

@@ -58,10 +58,8 @@ def check_all_tensors(cfg, params, batch, rtol=1e-4, atol=1e-8):
 
 
 class TestGradientCheck:
-    def test_every_tensor_with_residual_norm(self):
-        cfg, params = tiny_setup(use_residual_norm=True)
-        check_all_tensors(cfg, params, tiny_batch())
-
+    # With the residual norm on, the same check is test_acceptance.py's
+    # TestCriterion05GradientCheck.
     def test_every_tensor_without_residual_norm(self):
         cfg, params = tiny_setup(use_residual_norm=False)
         check_all_tensors(cfg, params, tiny_batch())

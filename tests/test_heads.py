@@ -70,7 +70,7 @@ class TestLogSoftmaxPositions:
     @given(st.lists(st.integers(1, 40), min_size=1, max_size=3),
            st.sampled_from([np.float64, np.float32]),
            st.sampled_from([1.0, 30.0, 1e4]), st.integers(0, 2**32 - 1))
-    def test_unmasked_equals_softmax_last(self, shape, dtype, scale, seed):
+    def test_p_equals_softmax_last(self, shape, dtype, scale, seed):
         rng = np.random.default_rng(seed)
         logits = (rng.normal(size=shape) * scale).astype(dtype)
         log_p, p = log_softmax_positions(logits)

@@ -70,6 +70,13 @@ class TestEvaluate:
             evaluate(EvaluationRequest(essay="   ", requirements=("why",),
                                        model=model))
 
+    @pytest.mark.parametrize("essay, requirements", [
+        ("   ", ("why",)), ("Some essay.", ()), ("Some essay.", ("why", " ")),
+    ])
+    def test_bad_request_refused_when_built(self, essay, requirements):
+        with pytest.raises(ValidationError):
+            EvaluationRequest(essay=essay, requirements=requirements, model=None)
+
     def test_oversized_question_gets_its_own_verdict(self, trained):
         model, _, _ = trained
         probe = generate_synthetic(SyntheticConfig(count=3, answerable_ratio=1.0,

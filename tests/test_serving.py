@@ -15,6 +15,7 @@ from essayqa.checkpoint import save_model
 from essayqa.cli import cli_main
 from essayqa.corpus import save_sed_format
 from essayqa.encoder import encode
+from essayqa.errors import ValidationError
 from essayqa.evalharness import predict_corpus
 from essayqa.locator import OVERSIZED_QUESTION, locate_response
 from essayqa.model import new_model
@@ -266,9 +267,11 @@ class TestServingCache:
 
 ESSAYS = list(dict.fromkeys(ex.context for ex in EXAMPLES))
 # A pool of short contexts, contexts joined past the 512 cap and a question
-# that leaves no room for the essay.
+# that leaves no room for the essay.  A joined context moves the gold span,
+# so those entries drop their gold; verdicts read only question and context.
 POOL = [*EXAMPLES,
-        *(replace(ex, context=" ".join(ESSAYS[j:] + ESSAYS[:j] + ESSAYS))
+        *(replace(ex, context=" ".join(ESSAYS[j:] + ESSAYS[:j] + ESSAYS),
+                  answerable=False, gold_answers=())
           for j, ex in enumerate(EXAMPLES[:len(ESSAYS)])),
         replace(EXAMPLES[0], question=" ".join(ESSAYS * 3))]
 
@@ -302,6 +305,10 @@ class TestPacking:
         for ex in corpus:
             assert by_id[ex.example_id] == infer_verdict(packing_model, ex.question, ex.context)
 
+    def test_predict_corpus_refuses_a_repeated_id(self, packing_model):
+        with pytest.raises(ValidationError, match=f"example_id '{EXAMPLES[1].example_id}'"):
+            predict_corpus(packing_model, [EXAMPLES[1], EXAMPLES[0], EXAMPLES[1]])
+
     def test_evaluate_with_an_oversized_question_mid_pack(self, packing_model):
         essay = EXAMPLES[3].context
         requirements = (EXAMPLES[0].question, POOL[-1].question, EXAMPLES[5].question)
@@ -310,7 +317,8 @@ class TestPacking:
         assert verdicts[1].reason == OVERSIZED_QUESTION
         assert verdicts == [infer_verdict(packing_model, q, essay) for q in requirements]
         assert verdicts[0] == composed_verdict(serving_model(packing_model),
-                                               replace(EXAMPLES[0], context=essay))
+                                               replace(EXAMPLES[0], context=essay,
+                                                       answerable=False, gold_answers=()))
 
     def test_packs_straddle_the_row_cap_in_order(self, monkeypatch, packing_model):
         rows = []  # rows of every encode() call
