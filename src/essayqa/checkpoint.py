@@ -22,7 +22,7 @@ from dataclasses import asdict
 import numpy as np
 
 from .encoder import EncoderConfig
-from .errors import CheckpointError, ValidationError
+from .errors import CheckpointError, ValidationError, VocabularyError
 from .model import ModelBundle, param_shapes
 from .qnorm import RewriteRuleSet
 from .seqbuild import Vocabulary
@@ -105,15 +105,21 @@ def _bundle_from_header(path: str, header: dict, fh) -> ModelBundle:
     if fh.read(1):
         raise CheckpointError(f"{path}: trailing bytes after tensor payload")
     _check_tensors(path, params, config)
-    vocab = Vocabulary(header["vocab"])
+    try:
+        vocab = Vocabulary(header["vocab"])
+    except VocabularyError as exc:
+        raise CheckpointError(f"{path}: bad vocabulary: {exc}") from exc
     if vocab.fingerprint() != header.get("vocab_fingerprint"):
         raise CheckpointError(f"{path}: vocabulary fingerprint mismatch")
     rules_obj = header["rules"]
-    rules = RewriteRuleSet(
-        pronoun_map=tuple(tuple(pair) for pair in rules_obj["pronoun_map"]),
-        question_words=tuple(rules_obj["question_words"]),
-        case_policy=rules_obj["case_policy"],
-    )
+    try:
+        rules = RewriteRuleSet(
+            pronoun_map=tuple(tuple(pair) for pair in rules_obj["pronoun_map"]),
+            question_words=tuple(rules_obj["question_words"]),
+            case_policy=rules_obj["case_policy"],
+        )
+    except ValidationError as exc:
+        raise CheckpointError(f"{path}: bad rules: {exc}") from exc
     ver = header["verification"]
     return ModelBundle(
         config=config,

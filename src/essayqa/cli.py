@@ -1,9 +1,9 @@
 """Command-line entry point.
 
-Subcommands: normalize, build-vocab, ingest, stats, train, experiment, eval,
-predict.  Exit codes: 0 success, 1 runtime error, 2 usage error.  All
-randomness hangs off explicit seeds, so runs with the same flags produce the
-same files.
+Subcommands: normalize, build-vocab, ingest, stats, generate, train,
+experiment, eval, predict.  Exit codes: 0 success, 1 runtime error, 2 usage
+error.  All randomness hangs off explicit seeds, so runs with the same flags
+produce the same files.
 """
 
 from __future__ import annotations
@@ -103,6 +103,7 @@ def _cmd_train(args) -> int:
     )
     train_corpus = corpus_mod.load_any(args.corpus)
     dev = corpus_mod.load_any(args.dev) if args.dev else None
+    stage = Stage(name="train", corpus=train_corpus, dev=dev, dev_fraction=args.dev_fraction)
     if args.vocab:
         vocab = Vocabulary.load(args.vocab)
     else:
@@ -117,7 +118,6 @@ def _cmd_train(args) -> int:
     model.rv_beta1 = args.beta1
     model.rv_beta2 = args.beta2
     model.zeta = args.zeta
-    stage = Stage(name="train", corpus=train_corpus, dev=dev, dev_fraction=args.dev_fraction)
     model, infos = multi_stage_train(model, [stage], cfg)
     save_model(model, args.out)
     info = infos[0]
@@ -147,16 +147,7 @@ def _cmd_experiment(args) -> int:
 
 def _cmd_eval(args) -> int:
     gold = corpus_mod.load_any(args.gold)
-    predictions: dict[str, str | None] = {}
-    for rec in read_verdict_records(args.pred):
-        qid, text = rec["question_id"], rec["text"]
-        if qid in predictions:
-            raise EssayQAError(f"record {qid}: question_id appears more than once")
-        answered = rec.get("answered")
-        if not isinstance(answered, bool) or answered != (text is not None):
-            raise EssayQAError(f"record {qid}: 'answered' must be true exactly when "
-                               f"'text' is given (answered={answered!r}, text={text!r})")
-        predictions[qid] = text
+    predictions = {rec["question_id"]: rec["text"] for rec in read_verdict_records(args.pred)}
     vocab = Vocabulary.load(args.vocab) if args.vocab else None
     result = evalharness.evaluate_predictions(predictions, gold,
                                               unit=args.overlap_unit, vocab=vocab)

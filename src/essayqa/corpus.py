@@ -118,11 +118,11 @@ def load_squad(path: str) -> list[QAExample]:
                     is_impossible = typed_field(qa, "is_impossible", bool, False)
                     answers = () if is_impossible else tuple(
                         GoldAnswer(text=typed_field(a, "text", str),
-                                   char_start=int(a["answer_start"]))
+                                   char_start=typed_field(a, "answer_start", int))
                         for a in qa.get("answers", [])
                     )
                     examples.append(QAExample(
-                        example_id=str(qa["id"]),
+                        example_id=typed_field(qa, "id", str),
                         question=typed_field(qa, "question", str),
                         context=context,
                         answerable=not is_impossible,
@@ -131,7 +131,7 @@ def load_squad(path: str) -> list[QAExample]:
         check_unique_ids(examples)
     except KeyError as exc:
         raise ValidationError(f"{path}: missing field {exc}") from exc
-    except (AttributeError, TypeError, ValueError, ValidationError) as exc:
+    except (AttributeError, TypeError, ValidationError) as exc:
         raise ValidationError(f"{path}: malformed entry: {exc}") from exc
     return examples
 
@@ -166,18 +166,19 @@ def load_sed_format(path: str) -> list[QAExample]:
     for lineno, obj in read_json_lines(path):
         try:
             ex = QAExample(
-                example_id=str(obj["example_id"]),
+                example_id=typed_field(obj, "example_id", str),
                 question=typed_field(obj, "question", str),
                 context=typed_field(obj, "context", str),
                 answerable=typed_field(obj, "answerable", bool),
                 gold_answers=tuple(
-                    GoldAnswer(text=typed_field(a, "text", str), char_start=int(a["char_start"]))
+                    GoldAnswer(text=typed_field(a, "text", str),
+                               char_start=typed_field(a, "char_start", int))
                     for a in obj.get("gold_answers", [])
                 ),
             )
         except KeyError as exc:
             raise ValidationError(f"{path}:{lineno}: missing field {exc}") from exc
-        except (TypeError, ValueError, ValidationError) as exc:
+        except (TypeError, ValidationError) as exc:
             raise ValidationError(f"{path}:{lineno}: malformed record: {exc}") from exc
         first = first_line.setdefault(ex.example_id, lineno)
         if first != lineno:

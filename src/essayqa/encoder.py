@@ -361,9 +361,7 @@ def _embed(ids: np.ndarray, params, cfg: EncoderConfig, bounds):
     x = params["tok_emb"][ids]
     for start, n in zip(bounds, lengths):  # positions restart at 0 for each sequence
         x[start:start + n] += params["pos_emb"][:n]
-    # The tables may be float64 master arrays under a float32 serving config
-    # (pipeline.serving_model); only the looked-up rows are cast.
-    return x.astype(cfg.np_dtype, copy=False)
+    return x
 
 
 def forward_batch(ids: np.ndarray, params: dict[str, np.ndarray], cfg: EncoderConfig,

@@ -30,7 +30,7 @@ from .pipeline import infer_verdict, infer_verdicts  # noqa: F401
 from .qnorm import split_words
 from .seqbuild import RESERVED, VOCAB_SIZE, Vocabulary, build_vocab, tokenize
 from .synthetic import SyntheticConfig, generate_synthetic
-from .train import Stage, TrainConfig, run_stage, stage_config
+from .train import Stage, TrainConfig, check_dev_fraction, run_stage, stage_config
 
 
 @dataclass
@@ -164,9 +164,10 @@ class PlanStage:
         _check_types("stage ", vars(self), PlanStage)
         _check_corpus_spec(f"stage {self.name!r} 'corpus'", self.corpus)
         _check_corpus_spec(f"stage {self.name!r} 'dev'", self.dev)
-        if not 0 <= self.dev_fraction < 1:
-            raise PlanError(f"stage {self.name!r} dev_fraction must be in [0, 1), "
-                            f"not {self.dev_fraction}")
+        try:
+            check_dev_fraction(self.dev_fraction)
+        except ValidationError as exc:
+            raise PlanError(f"stage {self.name!r} {exc}") from None
 
 
 @dataclass

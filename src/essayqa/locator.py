@@ -129,17 +129,27 @@ def write_verdict_records(records: list[dict], fh) -> None:
 
 
 def read_verdict_records(path: str) -> list[dict]:
-    """The records of a verdict file.  Each needs a string ``question_id``;
-    ``text`` is a string or null, and an absent ``text`` reads as null.
-    ValidationError names path and line if not."""
+    """The records of a verdict file.  Each needs a string ``question_id``
+    that no earlier record has; ``text`` is a string or null, an absent
+    ``text`` reads as null, and ``answered`` is true exactly when ``text`` is
+    a string.  ValidationError names path and line if not."""
     records: list[dict] = []
+    first_line: dict[str, int] = {}
     for lineno, rec in read_json_lines(path):
         try:
-            typed_field(rec, "question_id", str)
-            rec["text"] = typed_field(rec, "text", (str, type(None)), None)
+            qid = typed_field(rec, "question_id", str)
+            text = rec["text"] = typed_field(rec, "text", (str, type(None)), None)
         except KeyError as exc:
             raise ValidationError(f"{path}:{lineno}: missing field {exc}") from exc
         except TypeError as exc:
             raise ValidationError(f"{path}:{lineno}: malformed record: {exc}") from exc
+        first = first_line.setdefault(qid, lineno)
+        if first != lineno:
+            raise ValidationError(f"{path}:{lineno}: question_id {qid!r} appears more than "
+                                  f"once (first on line {first})")
+        answered = rec.get("answered")
+        if not isinstance(answered, bool) or answered != (text is not None):
+            raise ValidationError(f"{path}:{lineno}: 'answered' must be true exactly when "
+                                  f"'text' is given (answered={answered!r}, text={text!r})")
         records.append(rec)
     return records

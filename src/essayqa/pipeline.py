@@ -8,10 +8,10 @@ list), so a request's requirements share one encoder pass; the heads,
 verification and locating run on each sequence's own rows.
 
 Every verdict is computed in float32.  A float64 model is the master copy
-that training updates and checkpoints store; ``serving_model`` gives the
-float32 copy its verdicts are served from, made once per model and cached
-on it.  The master's values are never changed, and its copied arrays are
-read-only once served.
+that training updates and checkpoints store; its verdicts are served from
+``serving_model``'s float32 cast of all its tensors, made once per model
+and cached on it.  The master's values are never changed, and its arrays
+are read-only once served.
 """
 
 from __future__ import annotations
@@ -43,14 +43,11 @@ class EvaluationRequest:
 
 
 _SERVING_DTYPE = "float32"
-# Left at the master dtype: encoder._embed sums each token row and its
-# position row in float64 and casts only the sum, so verdicts keep their bits.
-_EMBEDDING_TABLES = ("tok_emb", "pos_emb")
 
 
 def serving_model(model: ModelBundle) -> ModelBundle:
     """The model verdicts are computed with: a float32 model itself, or a
-    float32 copy of a float64 model's layer and head tensors.
+    float32 copy of every tensor of a float64 model.
 
     The copy is made once per model and kept on it while every entry of
     ``model.params`` is the same array object; assigning a new tensor or a
@@ -64,11 +61,9 @@ def serving_model(model: ModelBundle) -> ModelBundle:
     cached = model._serving
     if cached is None or not _same_arrays(model.params, cached[0]):
         source = tuple(model.params.items())
-        params = {name: arr if name in _EMBEDDING_TABLES else arr.astype(_SERVING_DTYPE)
-                  for name, arr in source}
-        for name, arr in source:
-            if name not in _EMBEDDING_TABLES:
-                arr.setflags(write=False)
+        params = {name: arr.astype(_SERVING_DTYPE) for name, arr in source}
+        for _, arr in source:
+            arr.setflags(write=False)
         cached = model._serving = (source, params)
     return replace(model, config=replace(model.config, dtype=_SERVING_DTYPE),
                    params=cached[1])
@@ -90,10 +85,10 @@ def infer_verdicts(model: ModelBundle, pairs: Iterable[tuple[str, str]]) -> list
     verdicts in pair order.
 
     A float64 model is served from its cached float32 copy
-    (``serving_model``), so its served layer and head arrays are read-only
-    after the first verdict.  A question that leaves no room for the essay
-    in ``config.max_len`` positions gets a not-answered verdict without
-    scores, reason ``oversized_question``.
+    (``serving_model``), so its master arrays are read-only after the
+    first verdict.  A question that leaves no room for the essay in
+    ``config.max_len`` positions gets a not-answered verdict without scores,
+    reason ``oversized_question``.
     """
     model = serving_model(model)
     verdicts: list[Verdict | None] = []

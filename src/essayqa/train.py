@@ -79,7 +79,6 @@ class TrainingExample:
     gold_start: int             # 1-indexed positions in T; (1, 1) = [CLS]
     gold_end: int
     answerable: bool
-    example_id: str = ""
 
     @property
     def tau(self) -> int:
@@ -130,7 +129,6 @@ def prepare_examples(corpus: list[QAExample], vocab: Vocabulary, rules: RewriteR
             gold_start=gold_start,
             gold_end=gold_end,
             answerable=answerable,
-            example_id=ex.example_id,
         ))
     if skipped:
         logger.info("skipped %d oversized-question examples", skipped)
@@ -330,6 +328,15 @@ class Stage:
     dev: list[QAExample] | None = None
     dev_fraction: float = 0.0
     seed: int | None = None  # default: base seed + stage index
+
+    def __post_init__(self):
+        check_dev_fraction(self.dev_fraction)
+
+
+def check_dev_fraction(fraction: float) -> None:
+    """The share of a stage corpus carved off as its dev split must be in [0, 1)."""
+    if not 0 <= fraction < 1:
+        raise ValidationError(f"dev_fraction must be in [0, 1), not {fraction}")
 
 
 @dataclass

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -117,6 +118,22 @@ class TestLoadSquad:
         with pytest.raises(ValidationError, match=rf"num\.json: .*'{key}' must be a JSON string"):
             load_squad(str(path))
 
+    @pytest.mark.parametrize("key, kind, value", [
+        ("id", "string", None), ("id", "string", 7),
+        ("answer_start", "integer", 26.9), ("answer_start", "integer", True),
+        ("answer_start", "integer", "26"),
+    ])
+    def test_id_and_offset_keep_their_json_type(self, tmp_path, key, kind, value):
+        payload = squad_payload()
+        qa = payload["data"][0]["paragraphs"][0]["qas"][0]
+        (qa if key == "id" else qa["answers"][0])[key] = value
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ValidationError, match=rf"^[^:]*typed\.json: malformed entry: "
+                                                  rf"field '{key}' must be a JSON {kind}, "
+                                                  rf"not {re.escape(json.dumps(value))}$"):
+            load_squad(str(path))
+
 
 class TestQAExample:
     @pytest.mark.parametrize("answerable, golds", [
@@ -229,6 +246,23 @@ class TestSedFormat:
                         encoding="utf-8")
         with pytest.raises(ValidationError,
                            match=rf"bad\.jsonl:2: .*'{key}' must be a JSON string"):
+            load_sed_format(str(path))
+
+    @pytest.mark.parametrize("key, kind, value", [
+        ("example_id", "string", None), ("example_id", "string", 7),
+        ("char_start", "integer", 3.9), ("char_start", "integer", False),
+        ("char_start", "integer", "3"),
+    ])
+    def test_id_and_offset_keep_their_json_type(self, tmp_path, key, kind, value):
+        good = {"example_id": "a", "question": "q", "context": "I agree.",
+                "answerable": True, "gold_answers": [{"text": "agree", "char_start": 2}]}
+        bad = json.loads(json.dumps(good))
+        (bad if key == "example_id" else bad["gold_answers"][0])[key] = value
+        path = tmp_path / "typed.jsonl"
+        path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match=rf"typed\.jsonl:2: malformed record: "
+                                                  rf"field '{key}' must be a JSON {kind}, "
+                                                  rf"not {re.escape(json.dumps(value))}$"):
             load_sed_format(str(path))
 
     def test_ingest_of_non_string_question_exits_1(self, tmp_path, capsys):

@@ -401,7 +401,7 @@ def mixed_length_batch():
     rng = np.random.default_rng(99)
     return [TrainingExample(ids=tuple(int(i) for i in rng.integers(4, 31, size=n)),
                             m=0, gold_start=1 + n // 2, gold_end=n,
-                            answerable=bool(j % 2), example_id=str(j))
+                            answerable=bool(j % 2))
             for j, n in enumerate(lengths)]
 
 

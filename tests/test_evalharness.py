@@ -231,7 +231,7 @@ class TestCliEval:
         assert cli_main(self._files(tmp_path, gold, records)) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "record e0" in captured.err and "'answered'" in captured.err
+        assert "pred.jsonl:1: 'answered'" in captured.err
 
     @pytest.mark.parametrize("field, value", [("question_id", 5), ("text", 5),
                                               ("text", ["aa", "bb"])])
@@ -259,7 +259,7 @@ class TestCliEval:
         if status == 0:
             assert captured.out.splitlines()[0] == "accuracy: 1.0000"
         else:
-            assert "record e0" in captured.err and "'answered'" in captured.err
+            assert "pred.jsonl:1: 'answered'" in captured.err
 
     def test_id_mismatch_exits_1(self, tmp_path, capsys):
         gold = [gold_example("e0"), gold_example("e1")]
@@ -276,7 +276,8 @@ class TestCliEval:
         assert cli_main(self._files(tmp_path, gold, records)) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "record e0" in captured.err and "more than once" in captured.err
+        assert ("pred.jsonl:2: question_id 'e0' appears more than once (first on line 1)"
+                in captured.err)
 
     @pytest.mark.parametrize("bad_file", ["pred", "gold"])
     def test_line_that_is_not_an_object_exits_1(self, tmp_path, capsys, bad_file):

@@ -31,9 +31,9 @@ def tiny_setup(use_residual_norm=True, seed=7):
 def tiny_batch():
     return [
         TrainingExample(ids=(0, 5, 6, 1, 7, 8, 9), m=2, gold_start=5, gold_end=6,
-                        answerable=True, example_id="a"),
+                        answerable=True),
         TrainingExample(ids=(0, 4, 1, 10, 11), m=1, gold_start=1, gold_end=1,
-                        answerable=False, example_id="b"),
+                        answerable=False),
     ]
 
 

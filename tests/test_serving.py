@@ -1,6 +1,6 @@
 """Serving precision: every verdict is computed in float32, from a float32
-copy of a float64 model's layer and head tensors, and the float64 master
-model is never changed."""
+cast of every tensor of a float64 model, and the float64 master model is
+never changed."""
 
 import json
 from dataclasses import replace
@@ -58,7 +58,7 @@ class TestServingCopy:
         for ex in EXAMPLES:
             assert infer_verdict(model, ex.question, ex.context) == composed_verdict(model, ex)
 
-    def test_float64_copy_is_float32_but_shares_the_embedding_tables(self):
+    def test_float64_copy_is_a_float32_cast_of_every_tensor(self):
         model = small_model("float64")
         served = serving_model(model)
         assert served is not model and served.config.dtype == "float32"
@@ -67,11 +67,8 @@ class TestServingCopy:
                                                              model.zeta)
         assert list(served.params) == list(model.params)
         for name, arr in served.params.items():
-            if name in ("tok_emb", "pos_emb"):
-                assert arr is model.params[name]
-            else:
-                assert arr.dtype == np.float32
-                assert np.array_equal(arr, model.params[name].astype(np.float32)), name
+            assert arr.dtype == np.float32, name
+            assert np.array_equal(arr, model.params[name].astype(np.float32)), name
 
 
 class TestNoSilentPromotion:
@@ -214,9 +211,8 @@ class TestServingCache:
         second = evaluate(three_requirements(model))
         assert first == second and len(seen) == 2  # one pack per request
         for name in model.params:
-            if name not in ("tok_emb", "pos_emb"):
-                assert seen[0][name].dtype == np.float32, name
-                assert all(p[name] is seen[0][name] for p in seen), name
+            assert seen[0][name].dtype == np.float32, name
+            assert all(p[name] is seen[0][name] for p in seen), name
 
     @pytest.mark.parametrize("change", ["tensor", "dict"])
     def test_new_weights_are_served_at_once(self, change):
@@ -252,9 +248,10 @@ class TestServingCache:
         evaluate(three_requirements(model))
         with pytest.raises(ValueError, match="read-only"):
             model.params[LAYER][0, 0] = 1.0
-        with pytest.raises(ValueError, match="read-only"):
-            model.params["verify.b"] += 1.0
-        assert model.params["tok_emb"].flags.writeable  # shared, never stale
+        for name in ("verify.b", "tok_emb", "pos_emb"):
+            with pytest.raises(ValueError, match="read-only"):
+                model.params[name] += 1.0
+        assert not any(arr.flags.writeable for arr in model.params.values())
 
     def test_replace_starts_without_the_cache(self):
         model = small_model("float64")
@@ -333,6 +330,13 @@ class TestPacking:
         monkeypatch.setattr(pipeline, "encode", original)
         assert list(by_id.values()) == [infer_verdict(packing_model, ex.question, ex.context)
                                         for ex in corpus]
+
+    def test_float64_model_serves_the_verdicts_of_its_float32_cast(self, packing_model):
+        cast = replace(packing_model,
+                       config=replace(packing_model.config, dtype="float32"),
+                       params={k: v.astype(np.float32) for k, v in packing_model.params.items()})
+        pairs = [(ex.question, ex.context) for ex in POOL]
+        assert pipeline.infer_verdicts(packing_model, pairs) == pipeline.infer_verdicts(cast, pairs)
 
     def test_select_zeta_encodes_its_dev_split_in_packs(self, monkeypatch, packing_model):
         calls = []

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from essayqa.checkpoint import MAGIC, load_model, save_model
 from essayqa.cli import cli_main
-from essayqa.corpus import GoldAnswer, QAExample
+from essayqa.corpus import GoldAnswer, QAExample, save_sed_format
 from essayqa.encoder import encode
 from essayqa.errors import CheckpointError, OversizedQuestionError, ValidationError
 from essayqa.heads import span_probabilities, verifier_logits
@@ -152,6 +152,23 @@ class TestTrainConfigBounds:
                          "--out", str(tmp_path / "m.ckpt"), "--warmup-steps", "-5"])
         assert code == 1
         assert capsys.readouterr().err == "error: warmup_steps must not be negative\n"
+        assert not (tmp_path / "m.ckpt").exists()
+
+    @pytest.mark.parametrize("fraction", [-0.5, 1.0, 1.5])
+    def test_stage_rejects_dev_fraction_outside_zero_to_one(self, fraction):
+        with pytest.raises(ValidationError,
+                           match=rf"^dev_fraction must be in \[0, 1\), not {fraction}$"):
+            Stage(name="a", corpus=small_corpus(4), dev_fraction=fraction)
+
+    @pytest.mark.parametrize("fraction", ["-0.5", "1.5"])
+    def test_cli_rejects_dev_fraction_outside_zero_to_one(self, tmp_path, capsys, fraction):
+        corpus = tmp_path / "train.jsonl"
+        save_sed_format(small_corpus(8), str(corpus))
+        code = cli_main(["train", "--corpus", str(corpus), "--out", str(tmp_path / "m.ckpt"),
+                         "--dev-fraction", fraction])
+        assert code == 1
+        assert capsys.readouterr().err == (f"error: dev_fraction must be in [0, 1), "
+                                           f"not {fraction}\n")
         assert not (tmp_path / "m.ckpt").exists()
 
 
@@ -471,6 +488,27 @@ class TestMalformedCheckpoint:
     def test_rejected_cleanly(self, tmp_path, capsys, content, message):
         path = tmp_path / "bad.ckpt"
         path.write_bytes(content)
+        self._check_rejected(tmp_path, capsys, path, message)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda h: h["vocab"].__setitem__(-1, h["vocab"][-2]),
+         "bad.ckpt: bad vocabulary: duplicate vocabulary terms"),
+        (lambda h: h["rules"].update(case_policy="shout"),
+         "bad.ckpt: bad rules: unknown case_policy: 'shout'"),
+    ], ids=["repeated-term", "unknown-case-policy"])
+    def test_bad_vocabulary_or_rules_names_the_file(self, tmp_path, capsys, edit, message):
+        path = tmp_path / "bad.ckpt"
+        save_model(desk_model(small_corpus(6)), str(path))
+        blob = path.read_bytes()
+        start = len(MAGIC) + 8
+        (header_len,) = struct.unpack("<Q", blob[len(MAGIC):start])
+        header = json.loads(blob[start:start + header_len])
+        edit(header)
+        path.write_bytes(_header_bytes(header) + blob[start + header_len:])
+        self._check_rejected(tmp_path, capsys, path, message)
+
+    @staticmethod
+    def _check_rejected(tmp_path, capsys, path, message):
         with pytest.raises(CheckpointError, match=message):
             load_model(str(path))
         corpus = tmp_path / "corpus.jsonl"
