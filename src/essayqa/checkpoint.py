@@ -111,6 +111,9 @@ def _bundle_from_header(path: str, header: dict, fh) -> ModelBundle:
         raise CheckpointError(f"{path}: bad vocabulary: {exc}") from exc
     if vocab.fingerprint() != header.get("vocab_fingerprint"):
         raise CheckpointError(f"{path}: vocabulary fingerprint mismatch")
+    if len(vocab) != config.vocab_size:
+        raise CheckpointError(f"{path}: vocabulary holds {len(vocab)} terms, "
+                              f"config.vocab_size is {config.vocab_size}")
     rules_obj = header["rules"]
     try:
         rules = RewriteRuleSet(

@@ -3,6 +3,12 @@ cast of every tensor of a float64 model, and the float64 master model is
 never changed."""
 
 import json
+import os
+import signal
+import subprocess
+import sys
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -318,18 +324,32 @@ class TestPacking:
                                                        answerable=False, gold_answers=()))
 
     def test_packs_straddle_the_row_cap_in_order(self, monkeypatch, packing_model):
-        rows = []  # rows of every encode() call
-        original = pipeline.encode
+        rows, seen = [], []  # rows of every encode() call; pair indices of every pack
+        original_encode, original_pack = pipeline.encode, pipeline._verdict_pack
         monkeypatch.setattr(pipeline, "encode", lambda seqs, params, cfg: (
-            rows.append(sum(s.tau for s in seqs)) or original(seqs, params, cfg)))
+            rows.append(sum(s.tau for s in seqs)) or original_encode(seqs, params, cfg)))
+        monkeypatch.setattr(pipeline, "_verdict_pack", lambda model, pack: (
+            seen.append([i for i, _, _ in pack]) or original_pack(model, pack)))
         corpus = [replace(ex, example_id=str(j)) for j, ex in enumerate(POOL[12:16] + POOL[:4])]
         taus = [tau_of(packing_model, ex) for ex in corpus]
         assert taus[:4] == [512] * 4 and pipeline._PACK_ROWS == 1024
-        by_id = predict_corpus(packing_model, corpus)
-        assert rows == [1024, 1024, sum(taus[4:])]
-        monkeypatch.setattr(pipeline, "encode", original)
-        assert list(by_id.values()) == [infer_verdict(packing_model, ex.question, ex.context)
-                                        for ex in corpus]
+        assert sum(taus[4:]) <= 512
+        want = [infer_verdict(packing_model, ex.question, ex.context) for ex in corpus]
+        # One worker cuts packs at _PACK_ROWS rows, two at half of it each.
+        for workers, packs in ((1, [[0, 1], [2, 3], [4, 5, 6, 7]]),
+                               (2, [[0], [1], [2], [3], [4, 5, 6, 7]])):
+            monkeypatch.setattr(pipeline, "_pack_workers", lambda: workers)
+            rows.clear()
+            seen.clear()
+            cap = pipeline._PACK_ROWS // workers
+            by_id = predict_corpus(packing_model, corpus)
+            # Workers finish in any order, so packs are compared by first pair index.
+            assert sorted(seen) == packs
+            pack_rows = [sum(taus[i] for i in pack) for pack in packs]
+            assert sorted(rows) == sorted(pack_rows) and max(pack_rows) == cap
+            for pack, nxt in zip(packs, packs[1:]):
+                assert sum(taus[i] for i in pack) + taus[nxt[0]] > cap  # cut at the cap
+            assert list(by_id.values()) == want
 
     def test_float64_model_serves_the_verdicts_of_its_float32_cast(self, packing_model):
         cast = replace(packing_model,
@@ -344,6 +364,165 @@ class TestPacking:
         monkeypatch.setattr(pipeline, "encode", lambda seqs, params, cfg: (
             calls.append(len(seqs)) or original(seqs, params, cfg)))
         dev = EXAMPLES[:8]
-        assert sum(tau_of(packing_model, ex) for ex in dev) <= pipeline._PACK_ROWS
-        select_zeta(packing_model, dev)
-        assert calls == [len(dev)]
+        taus = [tau_of(packing_model, ex) for ex in dev]
+        assert sum(taus) <= pipeline._PACK_ROWS
+        assert sum(taus[:6]) <= pipeline._PACK_ROWS // 2 < sum(taus[:7])
+        for workers, sizes in ((1, [8]), (2, [6, 2])):
+            monkeypatch.setattr(pipeline, "_pack_workers", lambda: workers)
+            calls.clear()
+            select_zeta(packing_model, dev)
+            assert sorted(calls, reverse=True) == sizes
+
+
+# Long and short pairs with an oversized question in mid-stream (index 9);
+# the seven short contexts after the first long one cross a 512-row cap, and
+# with it they cross the 1024-row one.
+POOL_CORPUS = [POOL[i] for i in (12, 0, 1, 2, 3, 4, 5, 6, 13, 16, 14, 7, 8, 9, 10, 11, 15)]
+
+
+def pairs_of(examples):
+    return [(ex.question, ex.context) for ex in examples]
+
+
+class TestPackPool:
+    """With two workers (numpy's OpenBLAS on one thread and two CPUs) the
+    packs of one call run on a private pool; the verdicts are the serial ones."""
+
+    def serve(self, monkeypatch, model, pairs, workers):
+        monkeypatch.setattr(pipeline, "_pack_workers", lambda: workers)
+        threads = []  # thread of every encode() call
+        original = pipeline.encode
+        monkeypatch.setattr(pipeline, "encode", lambda seqs, params, cfg: (
+            threads.append(threading.current_thread().name) or original(seqs, params, cfg)))
+        verdicts = pipeline.infer_verdicts(model, pairs)
+        monkeypatch.setattr(pipeline, "encode", original)
+        return verdicts, threads
+
+    def test_pooled_verdicts_equal_serial_in_pair_order(self, monkeypatch, packing_model):
+        pairs = pairs_of(POOL_CORPUS)
+        taus = [tau_of(packing_model, ex) for ex in POOL_CORPUS if ex is not POOL[16]]
+        assert taus[0] == 512 and sum(taus[1:8]) > 512 and taus[0] + sum(taus[1:8]) > 1024
+        pooled, threads = self.serve(monkeypatch, packing_model, pairs, 2)
+        serial, serial_threads = self.serve(monkeypatch, packing_model, pairs, 1)
+        assert pooled == serial
+        assert pooled[9].reason == OVERSIZED_QUESTION
+        assert all(v.scores is not None for i, v in enumerate(pooled) if i != 9)
+        assert len(threads) == 7 and all(t.startswith("essayqa-pack") for t in threads)
+        assert serial_threads == [threading.current_thread().name] * 4
+        assert pooled == [infer_verdict(packing_model, q, e) for q, e in pairs]
+
+    def test_a_call_of_one_pack_runs_on_the_caller(self, monkeypatch, packing_model):
+        _, threads = self.serve(monkeypatch, packing_model,
+                                [(ex.question, EXAMPLES[0].context) for ex in EXAMPLES[:3]], 2)
+        assert threads == [threading.current_thread().name]
+
+    def test_a_failing_pack_raises_after_every_submitted_pack_finished(
+            self, monkeypatch, packing_model):
+        monkeypatch.setattr(pipeline, "_pack_workers", lambda: 2)
+        events, lock = [], threading.Lock()
+        original = pipeline._verdict_pack
+
+        def slow_or_failing(model, pack):
+            first = pack[0][0]
+            with lock:
+                events.append(("start", first))
+            if first == 0:
+                raise RuntimeError("pack 0 failed")
+            time.sleep(0.05)
+            result = original(model, pack)
+            with lock:
+                events.append(("end", first))
+            return result
+
+        monkeypatch.setattr(pipeline, "_verdict_pack", slow_or_failing)
+        with pytest.raises(RuntimeError, match="pack 0 failed"):
+            pipeline.infer_verdicts(packing_model, pairs_of(POOL[12:16] * 3))
+        with lock:
+            at_raise = list(events)
+        started = {first for kind, first in at_raise if kind == "start"}
+        ended = {first for kind, first in at_raise if kind == "end"}
+        assert len(started) > 2 and ended == started - {0}
+        time.sleep(0.2)
+        assert events == at_raise  # nothing ran on after the call returned
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_serves_on_a_pool_of_its_own(self, monkeypatch, packing_model):
+        monkeypatch.setattr(pipeline, "_pack_workers", lambda: 2)
+        pairs = pairs_of(POOL[12:16] + POOL[:4])
+        want = pipeline.infer_verdicts(packing_model, pairs)
+        assert pipeline._pool is not None  # live workers in this process
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                code = 0 if pipeline.infer_verdicts(packing_model, pairs) == want else 2
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 30
+        while (done := os.waitpid(pid, os.WNOHANG))[0] == 0:
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child hung in infer_verdicts")
+            time.sleep(0.05)
+        assert os.waitstatus_to_exitcode(done[1]) == 0
+
+
+# Serves a corpus of several packs as the host's BLAS setting allows, then
+# serially, and reports whether the pool ran and the verdicts agree.
+POOL_PROBE = """
+import json, os, threading
+from essayqa import pipeline, seqbuild
+from essayqa.model import new_model
+from essayqa.synthetic import SyntheticConfig, generate_synthetic
+examples = generate_synthetic(SyntheticConfig(count=24, seed=8, bank="general"))
+vocab = seqbuild.build_vocab([t for ex in examples for t in (ex.question, ex.context)])
+model = new_model(vocab, layers=1, d_model=16, heads=2, ffn_inner=32)
+essays = [ex.context for ex in examples]
+pairs = [(ex.question, " ".join(essays[i:i + 6])) for i, ex in enumerate(examples)]
+threads = set()
+original = pipeline.encode
+pipeline.encode = lambda seqs, params, cfg: (
+    threads.add(threading.current_thread().name) or original(seqs, params, cfg))
+workers = pipeline._pack_workers()
+served = pipeline.infer_verdicts(model, pairs)
+pool = pipeline._pool
+pipeline._pack_workers = lambda: 1
+print(json.dumps({
+    "blas_threads": pipeline._openblas_get_num_threads()(),
+    "cpus": len(os.sched_getaffinity(0)),
+    "workers": workers,
+    "pool_threads": None if pool is None else len(pool._threads),
+    "encode_threads": sorted(threads),
+    "equal": served == pipeline.infer_verdicts(model, pairs),
+}))
+"""
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+@pytest.mark.skipif(pipeline._openblas_get_num_threads() is None or
+                    not hasattr(os, "sched_getaffinity"),
+                    reason="numpy without its bundled OpenBLAS, or no CPU affinity")
+@pytest.mark.parametrize("one_thread", [True, False], ids=["blas-1-thread", "blas-default"])
+def test_the_pool_runs_only_while_blas_has_one_thread(one_thread):
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.join(
+        os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"),
+        env.get("PYTHONPATH")]))
+    if one_thread:
+        env["OPENBLAS_NUM_THREADS"] = "1"
+    proc = subprocess.run([sys.executable, "-c", POOL_PROBE], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    got = json.loads(proc.stdout)
+    assert got["equal"]
+    pooled = got["blas_threads"] == 1 and got["cpus"] >= 2
+    assert got["workers"] == (2 if pooled else 1)
+    if one_thread:
+        assert got["blas_threads"] == 1
+    if pooled:
+        assert got["pool_threads"] == 2
+        assert all(name.startswith("essayqa-pack") for name in got["encode_threads"])
+    else:
+        assert got["pool_threads"] is None
+        assert got["encode_threads"] == ["MainThread"]

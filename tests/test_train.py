@@ -19,7 +19,7 @@ from essayqa.errors import CheckpointError, OversizedQuestionError, ValidationEr
 from essayqa.heads import span_probabilities, verifier_logits
 from essayqa.model import new_model, param_shapes
 from essayqa.qnorm import RewriteRuleSet
-from essayqa.seqbuild import assemble, build_vocab
+from essayqa.seqbuild import Vocabulary, assemble, build_vocab
 from essayqa.synthetic import SyntheticConfig, generate_synthetic
 from essayqa.train import (
     Adam,
@@ -499,13 +499,31 @@ class TestMalformedCheckpoint:
     def test_bad_vocabulary_or_rules_names_the_file(self, tmp_path, capsys, edit, message):
         path = tmp_path / "bad.ckpt"
         save_model(desk_model(small_corpus(6)), str(path))
+        self._edit_header(path, edit)
+        self._check_rejected(tmp_path, capsys, path, message)
+
+    def test_vocabulary_larger_than_vocab_size_names_the_file(self, tmp_path, capsys):
+        vocab = build_vocab(["I will travel to Japan in the summer"], size=27)
+        assert len(vocab) == 27
+        path = tmp_path / "bad.ckpt"
+        save_model(new_model(vocab, layers=1, d_model=8, heads=2, ffn_inner=8), str(path))
+
+        def add_term(header):
+            header["vocab"].append("zebra")
+            header["vocab_fingerprint"] = Vocabulary(header["vocab"]).fingerprint()
+
+        self._edit_header(path, add_term)
+        self._check_rejected(tmp_path, capsys, path,
+                             "bad.ckpt: vocabulary holds 28 terms, config.vocab_size is 27")
+
+    @staticmethod
+    def _edit_header(path, edit):
         blob = path.read_bytes()
         start = len(MAGIC) + 8
         (header_len,) = struct.unpack("<Q", blob[len(MAGIC):start])
         header = json.loads(blob[start:start + header_len])
         edit(header)
         path.write_bytes(_header_bytes(header) + blob[start + header_len:])
-        self._check_rejected(tmp_path, capsys, path, message)
 
     @staticmethod
     def _check_rejected(tmp_path, capsys, path, message):
