@@ -21,9 +21,10 @@ from dataclasses import asdict
 
 import numpy as np
 
+from .corpus import typed_field
 from .encoder import EncoderConfig
 from .errors import CheckpointError, ValidationError, VocabularyError
-from .model import ModelBundle, param_shapes
+from .model import ModelBundle
 from .qnorm import RewriteRuleSet
 from .seqbuild import Vocabulary
 
@@ -104,16 +105,12 @@ def _bundle_from_header(path: str, header: dict, fh) -> ModelBundle:
         params[entry["name"]] = arr.astype(dtype.newbyteorder("="))
     if fh.read(1):
         raise CheckpointError(f"{path}: trailing bytes after tensor payload")
-    _check_tensors(path, params, config)
     try:
         vocab = Vocabulary(header["vocab"])
     except VocabularyError as exc:
         raise CheckpointError(f"{path}: bad vocabulary: {exc}") from exc
     if vocab.fingerprint() != header.get("vocab_fingerprint"):
         raise CheckpointError(f"{path}: vocabulary fingerprint mismatch")
-    if len(vocab) != config.vocab_size:
-        raise CheckpointError(f"{path}: vocabulary holds {len(vocab)} terms, "
-                              f"config.vocab_size is {config.vocab_size}")
     rules_obj = header["rules"]
     try:
         rules = RewriteRuleSet(
@@ -124,31 +121,10 @@ def _bundle_from_header(path: str, header: dict, fh) -> ModelBundle:
     except ValidationError as exc:
         raise CheckpointError(f"{path}: bad rules: {exc}") from exc
     ver = header["verification"]
-    return ModelBundle(
-        config=config,
-        params=params,
-        vocab=vocab,
-        rules=rules,
-        rv_beta1=float(ver["beta1"]),
-        rv_beta2=float(ver["beta2"]),
-        zeta=float(ver["zeta"]),
-    )
-
-
-def _check_tensors(path: str, params: dict[str, np.ndarray], config: EncoderConfig) -> None:
-    """The tensors must be exactly those the config describes, at its dtype."""
-    expected = param_shapes(config)
-    missing = [name for name in expected if name not in params]
-    if missing:
-        raise CheckpointError(f"{path}: missing tensors {missing[:5]}")
-    extra = [name for name in params if name not in expected]
-    if extra:
-        raise CheckpointError(f"{path}: tensors not in the config {extra[:5]}")
-    for name, shape in expected.items():
-        arr = params[name]
-        if arr.shape != shape:
-            raise CheckpointError(
-                f"{path}: tensor {name!r} has shape {arr.shape}, config needs {shape}")
-        if arr.dtype != config.np_dtype:
-            raise CheckpointError(
-                f"{path}: tensor {name!r} is {arr.dtype}, config needs {config.dtype}")
+    beta1, beta2, zeta = (float(typed_field(ver, key, float))
+                          for key in ("beta1", "beta2", "zeta"))
+    try:
+        return ModelBundle(config=config, params=params, vocab=vocab, rules=rules,
+                           rv_beta1=beta1, rv_beta2=beta2, zeta=zeta)
+    except ValidationError as exc:
+        raise CheckpointError(f"{path}: {exc}") from exc

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 from . import corpus as corpus_mod
 from . import evalharness, qnorm, synthetic
@@ -115,9 +116,7 @@ def _cmd_train(args) -> int:
         layers=args.layers, d_model=args.d_model, heads=args.heads,
         ffn_inner=args.ffn_inner, seed=args.seed, dtype=args.dtype,
     )
-    model.rv_beta1 = args.beta1
-    model.rv_beta2 = args.beta2
-    model.zeta = args.zeta
+    model = replace(model, rv_beta1=args.beta1, rv_beta2=args.beta2, zeta=args.zeta)
     model, infos = multi_stage_train(model, [stage], cfg)
     save_model(model, args.out)
     info = infos[0]
@@ -162,13 +161,8 @@ def _load_model_arg(args):
         raise EssayQAError(
             f"no model given: pass --model or set ${DEFAULT_MODEL_ENV}"
         )
-    model = load_model(path)
-    if args.beta1 is not None:
-        model.rv_beta1 = args.beta1
-    if args.beta2 is not None:
-        model.rv_beta2 = args.beta2
-    if args.zeta is not None:
-        model.zeta = args.zeta
+    flags = {"rv_beta1": args.beta1, "rv_beta2": args.beta2, "zeta": args.zeta}
+    model = replace(load_model(path), **{k: v for k, v in flags.items() if v is not None})
     if args.vocab:
         external = Vocabulary.load(args.vocab)
         if external.fingerprint() != model.vocab.fingerprint():

@@ -15,8 +15,9 @@ in pair order, bit-identical to a serial run.
 
 Every verdict is computed in float32.  A float64 model is the master copy
 that training updates and checkpoints store; its verdicts are served from
-``serving_model``'s float32 cast of all its tensors, made once per model
-and cached on it.  The master's values are never changed, and its arrays
+``serving_params``' float32 cast of all its tensors, made once per model
+and cached on it, with the master's config: the encoder computes in its
+parameters' dtype.  The master's values are never changed, and its arrays
 are read-only once served.
 """
 
@@ -30,7 +31,7 @@ import threading
 from collections import deque
 from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor, wait
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,19 +61,18 @@ class EvaluationRequest:
 _SERVING_DTYPE = "float32"
 
 
-def serving_model(model: ModelBundle) -> ModelBundle:
-    """The model verdicts are computed with: a float32 model itself, or a
-    float32 copy of every tensor of a float64 model.
+def serving_params(model: ModelBundle) -> dict[str, np.ndarray]:
+    """The params verdicts are computed with: a float32 model's own, or a
+    float32 cast of every tensor of a float64 model.
 
-    The copy is made once per model and kept on it while every entry of
+    The cast is made once per model and kept on it while every entry of
     ``model.params`` is the same array object; assigning a new tensor or a
-    new dict makes the next call copy again.  The master arrays a cached
-    copy was made from become read-only, so an in-place write raises
-    instead of leaving the copy stale.  ``zeta``, the betas, the vocabulary
-    and the rules are read from the model on every call.
+    new dict makes the next call cast again.  The master arrays a cached
+    cast was made from become read-only, so an in-place write raises
+    instead of leaving the cast stale.
     """
     if model.config.dtype == _SERVING_DTYPE:
-        return model
+        return model.params
     cached = model._serving
     if cached is None or not _same_arrays(model.params, cached[0]):
         source = tuple(model.params.items())
@@ -80,8 +80,7 @@ def serving_model(model: ModelBundle) -> ModelBundle:
         for _, arr in source:
             arr.setflags(write=False)
         cached = model._serving = (source, params)
-    return replace(model, config=replace(model.config, dtype=_SERVING_DTYPE),
-                   params=cached[1])
+    return cached[1]
 
 
 def _same_arrays(params: dict, source: tuple) -> bool:
@@ -156,16 +155,17 @@ def infer_verdicts(model: ModelBundle, pairs: Iterable[tuple[str, str]]) -> list
     """Run the full pipeline for each (question, essay) pair, in float32;
     verdicts in pair order.
 
-    A float64 model is served from its cached float32 copy
-    (``serving_model``), so its master arrays are read-only after the
-    first verdict.  A question that leaves no room for the essay in
+    A float64 model is served from its cached float32 params
+    (``serving_params``), so its master arrays are read-only after the
+    first verdict; ζ, the betas, the vocabulary and the rules are read from
+    the model on every call.  A question that leaves no room for the essay in
     ``config.max_len`` positions gets a not-answered verdict without scores,
     reason ``oversized_question``.  The caller's thread normalizes and
     assembles; with two workers (``_pack_workers``) each full pack runs on
     the pool.  An exception from a pack is raised once every submitted pack
     has finished.
     """
-    model = serving_model(model)
+    run_pack = functools.partial(_verdict_pack, model, serving_params(model))
     workers = _pack_workers()
     cap = _PACK_ROWS // workers
     verdicts: list[Verdict | None] = []
@@ -183,9 +183,9 @@ def infer_verdicts(model: ModelBundle, pairs: Iterable[tuple[str, str]]) -> list
                 continue
             if pack and rows + seq.tau > cap:
                 if workers == 1:
-                    _fill(verdicts, pack, _verdict_pack(model, pack))
+                    _fill(verdicts, pack, run_pack(pack))
                 else:
-                    submitted.append((pack, _pack_pool().submit(_verdict_pack, model, pack)))
+                    submitted.append((pack, _pack_pool().submit(run_pack, pack)))
                     if len(submitted) > _PACKS_QUEUED:
                         _collect(verdicts, submitted)
                 pack, rows = [], 0
@@ -193,9 +193,9 @@ def infer_verdicts(model: ModelBundle, pairs: Iterable[tuple[str, str]]) -> list
             verdicts.append(None)
             rows += seq.tau
         if submitted:
-            submitted.append((pack, _pack_pool().submit(_verdict_pack, model, pack)))
+            submitted.append((pack, _pack_pool().submit(run_pack, pack)))
         elif pack:
-            _fill(verdicts, pack, _verdict_pack(model, pack))
+            _fill(verdicts, pack, run_pack(pack))
         while submitted:
             _collect(verdicts, submitted)
     finally:
@@ -203,15 +203,15 @@ def infer_verdicts(model: ModelBundle, pairs: Iterable[tuple[str, str]]) -> list
     return verdicts
 
 
-def _verdict_pack(model: ModelBundle, pack) -> list[Verdict]:
-    """Encode the pack's sequences in one pass; their verdicts in pack order."""
-    h = encode([seq for _, seq, _ in pack], model.params, model.config)
+def _verdict_pack(model: ModelBundle, params: dict, pack) -> list[Verdict]:
+    """Encode the pack's sequences in one pass on ``params``; their verdicts in pack order."""
+    h = encode([seq for _, seq, _ in pack], params, model.config)
     verdicts, start = [], 0
     for _, seq, essay in pack:
         h_last = h[start:start + seq.tau]
         start += seq.tau
-        dist = heads.span_probabilities(h_last, model.params)
-        scores = heads.verify(dist, h_last[0], model.params,
+        dist = heads.span_probabilities(h_last, params)
+        scores = heads.verify(dist, h_last[0], params,
                               beta1=model.rv_beta1, beta2=model.rv_beta2, zeta=model.zeta)
         verdicts.append(locator.locate_response(dist, seq, scores, essay))
     return verdicts

@@ -333,6 +333,28 @@ class TestCli:
         assert run_cli(["predict", "--model", ckpt, "--corpus", str(gold_file), flag]) == 2
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("command", ["train", "predict"])
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--zeta", "nan", "zeta"), ("--beta1", "inf", "rv_beta1"), ("--beta2", "-inf", "rv_beta2"),
+    ])
+    def test_non_finite_verification_flag_exits_1(self, tmp_path, capsys, command, flag,
+                                                  value, field):
+        corpus = generate_synthetic(SyntheticConfig(count=6, seed=87))
+        corpus_file = tmp_path / "corpus.jsonl"
+        save_sed_format(corpus, str(corpus_file))
+        ckpt = tmp_path / "m.ckpt"
+        if command == "predict":
+            vocab = build_vocab([t for ex in corpus for t in (ex.question, ex.context)])
+            save_model(new_model(vocab, layers=1, d_model=8, heads=2, ffn_inner=8), str(ckpt))
+            argv = ["predict", "--model", str(ckpt), "--corpus", str(corpus_file)]
+        else:
+            argv = ["train", "--corpus", str(corpus_file), "--out", str(ckpt)]
+        assert run_cli(argv + [f"{flag}={value}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {field} must be finite, not {value}\n"
+        assert ckpt.exists() == (command == "predict")
+
     def test_train_subcommand_produces_usable_checkpoint(self, tmp_path, capsys):
         train_file = tmp_path / "train.jsonl"
         dev_file = tmp_path / "dev.jsonl"

@@ -25,7 +25,7 @@ from essayqa.errors import ValidationError
 from essayqa.evalharness import predict_corpus
 from essayqa.locator import OVERSIZED_QUESTION, locate_response
 from essayqa.model import new_model
-from essayqa.pipeline import EvaluationRequest, evaluate, infer_verdict, serving_model
+from essayqa.pipeline import EvaluationRequest, evaluate, infer_verdict, serving_params
 from essayqa.seqbuild import assemble, build_vocab
 from essayqa.synthetic import SyntheticConfig, generate_synthetic
 from essayqa.train import select_zeta
@@ -44,12 +44,13 @@ def small_model(dtype: str):
 
 
 def composed_verdict(model, ex):
-    """The pipeline's stages composed by hand on the model's own tensors."""
+    """The pipeline's stages composed by hand on the served params."""
+    params = serving_params(model)
     normalized = qnorm.normalize(ex.question, model.rules)
     seq = assemble(normalized, ex.context, model.vocab, max_len=model.config.max_len)
-    h = encode(seq, model.params, model.config)
-    dist = heads.span_probabilities(h, model.params)
-    scores = heads.verify(dist, h[0], model.params, beta1=model.rv_beta1,
+    h = encode(seq, params, model.config)
+    dist = heads.span_probabilities(h, params)
+    scores = heads.verify(dist, h[0], params, beta1=model.rv_beta1,
                           beta2=model.rv_beta2, zeta=model.zeta)
     return locate_response(dist, seq, scores, ex.context)
 
@@ -57,7 +58,7 @@ def composed_verdict(model, ex):
 class TestServingCopy:
     def test_float32_model_is_served_as_it_is(self):
         model = small_model("float32")
-        assert serving_model(model) is model
+        assert serving_params(model) is model.params
 
     def test_float32_model_verdicts_unchanged(self):
         model = small_model("float32")
@@ -66,13 +67,10 @@ class TestServingCopy:
 
     def test_float64_copy_is_a_float32_cast_of_every_tensor(self):
         model = small_model("float64")
-        served = serving_model(model)
-        assert served is not model and served.config.dtype == "float32"
-        assert served.config == replace(model.config, dtype="float32")
-        assert (served.vocab, served.rules, served.zeta) == (model.vocab, model.rules,
-                                                             model.zeta)
-        assert list(served.params) == list(model.params)
-        for name, arr in served.params.items():
+        served = serving_params(model)
+        assert served is not model.params
+        assert list(served) == list(model.params)
+        for name, arr in served.items():
             assert arr.dtype == np.float32, name
             assert np.array_equal(arr, model.params[name].astype(np.float32)), name
 
@@ -175,15 +173,15 @@ class TestOneServingPrecision:
     def test_one_copy_per_call(self, monkeypatch, call):
         model = small_model("float64")
         copies = []
-        original = pipeline.serving_model
+        original = pipeline.serving_params
 
         def counting(model):
             served = original(model)
-            if served is not model:
+            if served is not model.params:
                 copies.append(model)
             return served
 
-        monkeypatch.setattr(pipeline, "serving_model", counting)
+        monkeypatch.setattr(pipeline, "serving_params", counting)
         if call == "evaluate":
             essay = EXAMPLES[0].context
             evaluate(EvaluationRequest(essay=essay, model=model,
@@ -224,30 +222,28 @@ class TestServingCache:
     def test_new_weights_are_served_at_once(self, change):
         model = small_model("float64")
         before = evaluate(three_requirements(model))
-        old = serving_model(model).params[LAYER]
+        old = serving_params(model)[LAYER]
         new_w = model.params[LAYER] * -3.0
         if change == "tensor":
             model.params[LAYER] = new_w
         else:
             model.params = {**model.params, LAYER: new_w}
-        served = serving_model(model)
-        assert served.params[LAYER] is not old
-        assert np.array_equal(served.params[LAYER], new_w.astype(np.float32))
+        served = serving_params(model)
+        assert served[LAYER] is not old
+        assert np.array_equal(served[LAYER], new_w.astype(np.float32))
         after = evaluate(three_requirements(model))
         assert after != before
         assert after == evaluate(three_requirements(replace(model, params=dict(model.params))))
 
     def test_zeta_and_betas_apply_without_a_new_copy(self):
         model = small_model("float64")
-        layer = serving_model(model).params[LAYER]
+        layer = serving_params(model)[LAYER]
         for zeta in (-1e9, 1e9):
             model.zeta = zeta
             verdicts = evaluate(three_requirements(model))
             assert all(v.scores.answered == (zeta > 0) for v in verdicts)
         model.rv_beta1, model.rv_beta2 = 0.25, 0.75
-        served = serving_model(model)
-        assert (served.zeta, served.rv_beta1, served.rv_beta2) == (1e9, 0.25, 0.75)
-        assert served.params[LAYER] is layer
+        assert serving_params(model)[LAYER] is layer
 
     def test_in_place_write_to_a_served_master_array_raises(self):
         model = small_model("float64")
@@ -261,11 +257,11 @@ class TestServingCache:
 
     def test_replace_starts_without_the_cache(self):
         model = small_model("float64")
-        layer = serving_model(model).params[LAYER]
+        layer = serving_params(model)[LAYER]
         other = replace(model, zeta=model.zeta + 1.0)
         assert other._serving is None
-        assert serving_model(other).params[LAYER] is not layer
-        assert serving_model(model).params[LAYER] is layer
+        assert serving_params(other)[LAYER] is not layer
+        assert serving_params(model)[LAYER] is layer
 
 
 ESSAYS = list(dict.fromkeys(ex.context for ex in EXAMPLES))
@@ -319,7 +315,7 @@ class TestPacking:
                                               model=packing_model))
         assert verdicts[1].reason == OVERSIZED_QUESTION
         assert verdicts == [infer_verdict(packing_model, q, essay) for q in requirements]
-        assert verdicts[0] == composed_verdict(serving_model(packing_model),
+        assert verdicts[0] == composed_verdict(packing_model,
                                                replace(EXAMPLES[0], context=essay,
                                                        answerable=False, gold_answers=()))
 
@@ -328,8 +324,8 @@ class TestPacking:
         original_encode, original_pack = pipeline.encode, pipeline._verdict_pack
         monkeypatch.setattr(pipeline, "encode", lambda seqs, params, cfg: (
             rows.append(sum(s.tau for s in seqs)) or original_encode(seqs, params, cfg)))
-        monkeypatch.setattr(pipeline, "_verdict_pack", lambda model, pack: (
-            seen.append([i for i, _, _ in pack]) or original_pack(model, pack)))
+        monkeypatch.setattr(pipeline, "_verdict_pack", lambda model, params, pack: (
+            seen.append([i for i, _, _ in pack]) or original_pack(model, params, pack)))
         corpus = [replace(ex, example_id=str(j)) for j, ex in enumerate(POOL[12:16] + POOL[:4])]
         taus = [tau_of(packing_model, ex) for ex in corpus]
         assert taus[:4] == [512] * 4 and pipeline._PACK_ROWS == 1024
@@ -422,14 +418,14 @@ class TestPackPool:
         events, lock = [], threading.Lock()
         original = pipeline._verdict_pack
 
-        def slow_or_failing(model, pack):
+        def slow_or_failing(model, params, pack):
             first = pack[0][0]
             with lock:
                 events.append(("start", first))
             if first == 0:
                 raise RuntimeError("pack 0 failed")
             time.sleep(0.05)
-            result = original(model, pack)
+            result = original(model, params, pack)
             with lock:
                 events.append(("end", first))
             return result

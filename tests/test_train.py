@@ -17,7 +17,7 @@ from essayqa.corpus import GoldAnswer, QAExample, save_sed_format
 from essayqa.encoder import encode
 from essayqa.errors import CheckpointError, OversizedQuestionError, ValidationError
 from essayqa.heads import span_probabilities, verifier_logits
-from essayqa.model import new_model, param_shapes
+from essayqa.model import ModelBundle, new_model, param_shapes
 from essayqa.qnorm import RewriteRuleSet
 from essayqa.seqbuild import Vocabulary, assemble, build_vocab
 from essayqa.synthetic import SyntheticConfig, generate_synthetic
@@ -418,11 +418,11 @@ class TestDtype:
 
 class TestCheckpointMatchesConfig:
     def _saved(self, tmp_path, edit):
+        # replace() would refuse the edited tensors, so edit them in place
         model = desk_model(small_corpus(6))
-        params = dict(model.params)
-        edit(params)
+        edit(model.params)
         path = tmp_path / "m.ckpt"
-        save_model(replace(model, params=params), str(path))
+        save_model(model, str(path))
         return str(path)
 
     def test_shapes_name_every_initialized_tensor(self):
@@ -460,6 +460,52 @@ class TestCheckpointMatchesConfig:
         path = self._saved(tmp_path, to_f4)
         with pytest.raises(CheckpointError, match="float32"):
             load_model(path)
+
+
+def _with_params(edit):
+    """Field overrides: a copy of the model's params with ``edit`` applied."""
+    def overrides(model):
+        params = dict(model.params)
+        edit(params)
+        return {"params": params}
+    return overrides
+
+
+def _to_f4(params, name):
+    params[name] = params[name].astype(np.float32)
+
+
+OTHER_VOCAB = build_vocab(["I will travel"], size=40)
+
+
+class TestModelBundleChecksItself:
+    """Construction and dataclasses.replace refuse a bundle whose tensors,
+    vocabulary or verification constants do not fit its config."""
+
+    @pytest.mark.parametrize("overrides, message", [
+        (_with_params(lambda p: p.pop("layer1.ffn.b2")),
+         r"missing tensors \['layer1\.ffn\.b2'\]"),
+        (_with_params(lambda p: p.update(stray=np.zeros(3))),
+         r"tensors not in the config \['stray'\]"),
+        (_with_params(lambda p: p.update({"verify.b": np.zeros(3)})),
+         r"tensor 'verify\.b' has shape \(3,\), config needs \(2,\)"),
+        (_with_params(lambda p: _to_f4(p, "span.w_end")),
+         "tensor 'span.w_end' is float32, config needs float64"),
+        (lambda m: {"vocab": OTHER_VOCAB},
+         f"vocabulary holds {len(OTHER_VOCAB)} terms, config.vocab_size is {len(SPAN_VOCAB)}"),
+        (lambda m: {"rv_beta1": float("inf")}, "rv_beta1 must be finite, not inf"),
+        (lambda m: {"rv_beta2": float("-inf")}, "rv_beta2 must be finite, not -inf"),
+        (lambda m: {"zeta": float("nan")}, "zeta must be finite, not nan"),
+    ], ids=["missing-tensor", "extra-tensor", "wrong-shape", "wrong-dtype", "vocab-size",
+            "beta1-inf", "beta2-minus-inf", "zeta-nan"])
+    def test_refused_when_built_and_when_replaced(self, overrides, message):
+        model = new_model(SPAN_VOCAB, layers=2, d_model=8, heads=2, ffn_inner=8)
+        fields = overrides(model)
+        with pytest.raises(ValidationError, match=message):
+            ModelBundle(**{"config": model.config, "params": model.params,
+                           "vocab": model.vocab, "rules": model.rules, **fields})
+        with pytest.raises(ValidationError, match=message):
+            replace(model, **fields)
 
 
 def _header_bytes(header: dict) -> bytes:
@@ -515,6 +561,21 @@ class TestMalformedCheckpoint:
         self._edit_header(path, add_term)
         self._check_rejected(tmp_path, capsys, path,
                              "bad.ckpt: vocabulary holds 28 terms, config.vocab_size is 27")
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda v: v.update(zeta="0.5"),
+         "bad.ckpt: malformed header: field 'zeta' must be a JSON number, not \"0.5\""),
+        (lambda v: v.update(beta1=True),
+         "bad.ckpt: malformed header: field 'beta1' must be a JSON number, not true"),
+        (lambda v: v.update(zeta=float("nan")), "bad.ckpt: zeta must be finite, not nan"),
+        (lambda v: v.update(beta2=float("inf")), "bad.ckpt: rv_beta2 must be finite, not inf"),
+    ], ids=["zeta-string", "beta1-bool", "zeta-nan", "beta2-inf"])
+    def test_verification_constants_are_finite_json_numbers(self, tmp_path, capsys,
+                                                            edit, message):
+        path = tmp_path / "bad.ckpt"
+        save_model(new_model(SPAN_VOCAB, layers=1, d_model=8, heads=2, ffn_inner=8), str(path))
+        self._edit_header(path, lambda header: edit(header["verification"]))
+        self._check_rejected(tmp_path, capsys, path, message)
 
     @staticmethod
     def _edit_header(path, edit):
