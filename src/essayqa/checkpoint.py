@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -33,14 +33,12 @@ _DTYPE_CODES = {"float32": "f4", "float64": "f8"}
 
 
 def save_model(bundle: ModelBundle, path: str) -> None:
-    names = list(bundle.params.keys())
-    tensors = []
-    for name in names:
-        arr = bundle.params[name]
-        code = _DTYPE_CODES.get(arr.dtype.name)
-        if code is None:
-            raise CheckpointError(f"tensor {name!r} has unsupported dtype {arr.dtype}")
-        tensors.append({"name": name, "shape": list(arr.shape), "dtype": code})
+    """Write ``bundle`` to ``path``.  A bundle whose attributes were assigned
+    into a state ``load_model`` would refuse raises ValidationError before
+    the file is opened."""
+    replace(bundle)  # the bundle's own check, which construction runs
+    tensors = [{"name": name, "shape": list(arr.shape), "dtype": _DTYPE_CODES[arr.dtype.name]}
+               for name, arr in bundle.params.items()]
     header = {
         "config": asdict(bundle.config),
         "verification": {
@@ -62,8 +60,7 @@ def save_model(bundle: ModelBundle, path: str) -> None:
         fh.write(MAGIC)
         fh.write(struct.pack("<Q", len(blob)))
         fh.write(blob)
-        for name in names:
-            arr = bundle.params[name]
+        for arr in bundle.params.values():
             fh.write(np.ascontiguousarray(arr).astype(arr.dtype.newbyteorder("<")).tobytes())
 
 

@@ -310,14 +310,24 @@ def _layer_forward(h_prev, p, pre, cfg: EncoderConfig, bounds, keep_cache=False)
 
 
 def _layer_backward(dh_out, cache, p, pre, cfg: EncoderConfig, grads):
+    """The caller hands ``cache`` over: the LN2, FFN and LN1 caches and the
+    dead intermediates are dropped as they are consumed, so they are freed
+    before the attention backward runs."""
     c_attn, c_ln1, c_ffn, c_ln2 = cache
+    del cache
     if cfg.use_residual_norm:
         dr2, grads[pre + "ln2.gain"], grads[pre + "ln2.bias"] = _ln_backward(dh_out, c_ln2)
-        da = dr2 + _ffn_backward(dr2, c_ffn, p, pre + "ffn.", grads)
+        del c_ln2
+        da = _ffn_backward(dr2, c_ffn, p, pre + "ffn.", grads)
+        del c_ffn
+        da += dr2
+        del dr2
         dr1, grads[pre + "ln1.gain"], grads[pre + "ln1.bias"] = _ln_backward(da, c_ln1)
+        del da, c_ln1
         dattn_out = dh_prev_res = dr1
     else:
         dattn_out = _ffn_backward(dh_out, c_ffn, p, pre + "ffn.", grads)
+        del c_ffn
         dh_prev_res = 0.0
     return _attn_backward(dattn_out, c_attn, p, pre + "attn.", cfg, grads) + dh_prev_res
 
@@ -370,9 +380,10 @@ def forward_batch(ids: np.ndarray, params: dict[str, np.ndarray], cfg: EncoderCo
     ``bounds``; returns (H (N, d_model), cache).
 
     A training pack keeps the layer caches that ``backward_batch`` reads.
-    Serving passes ``keep_cache=False``: its cache is None and each layer's
-    activations are freed as it ends.  ``bounds`` is keyword-only because
-    perfbench's tracer reads a fourth positional argument as a padding mask."""
+    That cache is used once: ``backward_batch`` empties it.  Serving passes
+    ``keep_cache=False``: its cache is None and each layer's activations are
+    freed as it ends.  ``bounds`` is keyword-only because perfbench's tracer
+    reads a fourth positional argument as a padding mask."""
     h = _embed(ids, params, cfg, bounds)
     layer_caches = []
     for i in range(cfg.layers):
@@ -385,11 +396,15 @@ def forward_batch(ids: np.ndarray, params: dict[str, np.ndarray], cfg: EncoderCo
 def backward_batch(dh: np.ndarray, cache, params: dict[str, np.ndarray],
                    cfg: EncoderConfig) -> dict[str, np.ndarray]:
     """Gradients of every encoder tensor given dLoss/dH^L (N, d_model) of the
-    pack whose ``forward_batch`` cache is ``cache``."""
+    pack whose ``forward_batch`` cache is ``cache``.
+
+    The cache is used once: each layer's cache is popped as its backward
+    consumes it, so a layer's activations are freed as soon as its
+    gradients are taken, and the cache's list of layers is empty after."""
     ids, bounds, layer_caches = cache
     grads: dict[str, np.ndarray] = {}
     for i in reversed(range(cfg.layers)):
-        dh = _layer_backward(dh, layer_caches[i], params, f"layer{i}.", cfg, grads)
+        dh = _layer_backward(dh, layer_caches.pop(), params, f"layer{i}.", cfg, grads)
     d_tok = np.zeros_like(params["tok_emb"])
     np.add.at(d_tok, ids, dh)
     d_pos = np.zeros_like(params["pos_emb"])

@@ -17,17 +17,29 @@ order, and each part is one pack: its sequences' rows stacked with no
 padding, attention and the span softmax taken per sequence.  The batch's
 loss and gradients are the mean over its examples: the parts only change the
 order of the sums.
+
+A batch of more than one part runs on two cores while the serving pool
+would (``pipeline._pack_workers``: numpy's OpenBLAS on one thread and two
+or more CPUs): the caller's thread runs the even parts while one pool
+worker runs the odd part beside it, one at a time, so at most two parts
+hold their layer caches at once.  The parts' results are summed in part
+order either way, so the loss and gradients are bit-identical to a serial
+run.
 """
 
 from __future__ import annotations
 
+import contextvars
+import functools
 import logging
 import os
 from bisect import bisect_left, bisect_right
+from concurrent.futures import wait
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import pipeline
 from .checkpoint import save_model
 from .corpus import QAExample
 from .encoder import EncoderConfig, backward_batch, forward_batch, pack_ids, softmax_last
@@ -41,9 +53,11 @@ from .seqbuild import Vocabulary, assemble
 logger = logging.getLogger(__name__)
 
 # Examples per pack inside a batch.  A part holds its layer caches until its
-# backward pass, so one pack of the whole batch (16) ran about 9 % faster on
-# train_domain but raised its peak RSS by about 15 MiB; parts of 1 pay the
-# per-call overhead 16 times a step.
+# backward pass frees them layer by layer, so one pack of the whole batch
+# (16) ran about 9 % faster on train_domain but raised its peak RSS by about
+# 15 MiB; parts of 1 pay the per-call overhead 16 times a step.  On two
+# cores two parts are live at once; parts of 2 there were slower and not
+# bit-identical to parts of 4 (another summation order).
 _SUB_BATCH = 4
 
 # Adam's moment decay rates and denominator guard (the usual values).
@@ -140,16 +154,27 @@ def loss_and_grads(params: dict[str, np.ndarray], cfg: EncoderConfig,
     """Mean loss over the batch and analytic gradients for every tensor,
     summed over consecutive parts of ``_SUB_BATCH`` examples in batch order.
 
+    With more than one part and two workers (``pipeline._pack_workers``),
+    the caller's thread runs the even parts and one worker of the serving
+    pool runs each odd part beside it; otherwise the parts run in turn on
+    the caller's thread.  The sums run in part order either way, so the
+    result is bit-identical to a serial run.  An exception from either part
+    of a pair is raised once the other part has finished.
+
     ``pad_id`` is unused, since a pack holds no padding; the parameter stays
     for existing callers, and ``[PAD]`` stays a reserved vocabulary id
     because the vocabulary file format holds it."""
     if not batch:
         raise ValidationError("empty batch")
+    run_part = functools.partial(_part_loss_and_grads, params, cfg, n=len(batch))
+    parts = [batch[lo: lo + _SUB_BATCH] for lo in range(0, len(batch), _SUB_BATCH)]
+    if len(parts) > 1 and pipeline._pack_workers() == 2:
+        results = _paired_parts(run_part, parts)
+    else:
+        results = map(run_part, parts)
     loss = 0.0
     grads: dict[str, np.ndarray] = {}
-    for lo in range(0, len(batch), _SUB_BATCH):
-        part_loss, part_grads = _part_loss_and_grads(params, cfg, batch[lo: lo + _SUB_BATCH],
-                                                     len(batch))
+    for part_loss, part_grads in results:
         loss += part_loss
         for name, g in part_grads.items():
             if name in grads:
@@ -157,6 +182,25 @@ def loss_and_grads(params: dict[str, np.ndarray], cfg: EncoderConfig,
             else:
                 grads[name] = g
     return loss, grads
+
+
+def _paired_parts(run_part, parts):
+    """Each part's result, in part order: the caller's thread runs the even
+    parts while one pool worker runs the odd part that follows, one pair at
+    a time."""
+    pool = pipeline._pack_pool()
+    for lo in range(0, len(parts), 2):
+        if lo + 1 == len(parts):
+            yield run_part(parts[lo])
+            break
+        # in a copy of the caller's context, so that numpy's error state
+        # (np.errstate) applies to the worker's part as to the caller's
+        odd = pool.submit(contextvars.copy_context().run, run_part, parts[lo + 1])
+        try:
+            yield run_part(parts[lo])
+        finally:
+            wait([odd])
+        yield odd.result()
 
 
 def _part_loss_and_grads(params: dict[str, np.ndarray], cfg: EncoderConfig,

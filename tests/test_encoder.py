@@ -33,7 +33,7 @@ from essayqa.encoder import (
 from essayqa.errors import ValidationError
 from essayqa.heads import init_head_params
 from essayqa.seqbuild import InputSequence
-from essayqa.train import TrainingExample, loss_and_grads
+from essayqa.train import TrainingExample, _part_loss_and_grads, loss_and_grads
 
 from reference import ref_encoder_layer_no_norm, ref_multi_head_attention
 
@@ -500,6 +500,52 @@ class TestMemory:
         score_buffer = cfg.heads * cfg.max_len ** 2 * cfg.np_dtype.itemsize
         assert peak <= (cfg.layers + 1.5) * score_buffer, peak / score_buffer
 
+    def test_backward_frees_each_layer_cache_as_it_goes(self):
+        """A training part's peak over its forward caches stays below one
+        layer's cache: backward frees each layer's activations as it consumes
+        them, so the top layer's are gone before the next layer's gradients
+        are taken."""
+        cfg = EncoderConfig(vocab_size=100)
+        rng = np.random.default_rng(0)
+        params = init_encoder_params(cfg, rng)
+        params.update(init_head_params(cfg, rng))
+        part = []
+        for j in range(4):
+            n = int(rng.integers(40, 101))
+            part.append(TrainingExample(ids=tuple(int(i) for i in rng.integers(4, 100, size=n)),
+                                        m=0, gold_start=1 + n // 2, gold_end=n,
+                                        answerable=bool(j % 2)))
+        ids, bounds = pack_ids(part)
+        _, (_, _, layer_caches) = forward_batch(ids, params, cfg, bounds=bounds)
+        caches = self.owned_bytes(layer_caches, params)
+        layer = self.owned_bytes(layer_caches[0], params)
+        assert caches == cfg.layers * layer
+        del layer_caches
+        tracemalloc.start()
+        try:
+            _part_loss_and_grads(params, cfg, part, len(part))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - caches < 0.75 * layer, (peak - caches) / layer
+
+    @staticmethod
+    def owned_bytes(cache, params) -> int:
+        """Bytes of the distinct buffers the cache's arrays view, the
+        parameters left out."""
+        skip = {id(arr) for arr in params.values()}
+        roots, todo = {}, [cache]
+        while todo:
+            obj = todo.pop()
+            if isinstance(obj, (tuple, list)):
+                todo.extend(obj)
+            elif isinstance(obj, np.ndarray):
+                while isinstance(obj.base, np.ndarray):
+                    obj = obj.base
+                if id(obj) not in skip:
+                    roots[id(obj)] = obj.nbytes
+        return sum(roots.values())
+
     # Steady-state minor page faults per call, measured in a fresh interpreter
     # so that pytest's own heap does not count.
     FAULTS_SCRIPT = """
@@ -508,7 +554,7 @@ import numpy as np
 from essayqa.encoder import EncoderConfig, encode, init_encoder_params
 from essayqa.heads import init_head_params
 from essayqa.seqbuild import InputSequence
-from essayqa.train import TrainingExample, loss_and_grads
+from essayqa.train import TrainingExample, _part_loss_and_grads, loss_and_grads
 
 def faults_per_call(fn, warmup=3, calls=5):
     for _ in range(warmup):
@@ -546,9 +592,13 @@ print(faults_per_call(lambda: encode(ids, params, cfg)),
                         reason="heap retention is set through glibc mallopt")
     def test_freed_heap_is_reused_without_page_faults(self, monkeypatch):
         """A 512-token encode and a B=16 training step page-fault again on
-        every call when freed heap goes back to the OS."""
+        every call when freed heap goes back to the OS.  With BLAS on one
+        thread the step's odd parts run on a pack worker, whose arena must
+        keep its freed heap too."""
         monkeypatch.delenv("MALLOC_TOP_PAD_", raising=False)
         encode_faults, train_faults = self.faults()
+        assert encode_faults < 64 and train_faults < 64, (encode_faults, train_faults)
+        encode_faults, train_faults = self.faults(OPENBLAS_NUM_THREADS="1")
         assert encode_faults < 64 and train_faults < 64, (encode_faults, train_faults)
         # A host's own MALLOC_TOP_PAD_ stays in force.
         encode_faults, _ = self.faults(MALLOC_TOP_PAD_="131072")

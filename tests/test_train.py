@@ -4,6 +4,8 @@ acceptance criterion 7)."""
 
 import json
 import struct
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from essayqa import pipeline, train
 from essayqa.checkpoint import MAGIC, load_model, save_model
 from essayqa.cli import cli_main
 from essayqa.corpus import GoldAnswer, QAExample, save_sed_format
@@ -26,6 +29,7 @@ from essayqa.train import (
     Stage,
     TrainConfig,
     TrainingExample,
+    _part_loss_and_grads,
     char_span_to_positions,
     loss_and_grads,
     multi_stage_train,
@@ -241,13 +245,103 @@ class TestTrainStage:
 
 
 class TestPackedParts:
-    """loss_and_grads runs a batch as packs of consecutive examples."""
+    """loss_and_grads runs a batch as packs of consecutive examples; with
+    two workers the caller's thread and one pack worker run them in pairs."""
 
-    def batch(self, n=11):
+    def batch(self, n=11, **overrides):
         corpus = small_corpus(40, seed=17)
-        model = desk_model(corpus)
+        model = desk_model(corpus, **overrides)
         prepared, _ = prepare_examples(corpus, model.vocab, RULES, model.config.max_len)
         return model, prepared[:n]
+
+    @staticmethod
+    def run(monkeypatch, model, batch, workers):
+        monkeypatch.setattr(pipeline, "_pack_workers", lambda: workers)
+        return loss_and_grads(model.params, model.config, batch, model.vocab.pad_id)
+
+    @staticmethod
+    def record_parts(monkeypatch, batch, part_fn=None):
+        """Run every part through ``part_fn`` (default: the real one) and
+        record (index of the part's first example, thread name) in call order."""
+        calls, original = [], train._part_loss_and_grads
+        first = {id(ex): i for i, ex in enumerate(batch)}
+
+        def recorded(params, cfg, part, n):
+            calls.append((first[id(part[0])], threading.current_thread().name))
+            return (part_fn or original)(params, cfg, part, n)
+
+        monkeypatch.setattr(train, "_part_loss_and_grads", recorded)
+        return calls
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_pooled_result_is_byte_equal_to_serial(self, monkeypatch, dtype):
+        model, batch = self.batch(16, dtype=dtype)
+        assert len({ex.tau for ex in batch}) > 3
+        serial_loss, serial = self.run(monkeypatch, model, batch, 1)
+        pooled_loss, pooled = self.run(monkeypatch, model, batch, 2)
+        assert pooled_loss == serial_loss
+        assert list(pooled) == list(serial)
+        for name, g in pooled.items():
+            assert g.dtype == np.dtype(dtype), name
+            assert g.tobytes() == serial[name].tobytes(), name
+
+    def test_odd_parts_run_on_a_pack_worker(self, monkeypatch):
+        model, batch = self.batch(14)  # parts at 0, 4, 8 and 12
+        calls = self.record_parts(monkeypatch, batch)
+        self.run(monkeypatch, model, batch, 2)
+        here = threading.current_thread().name
+        threads = dict(calls)
+        assert sorted(threads) == [0, 4, 8, 12]
+        assert threads[0] == threads[8] == here
+        assert all(threads[lo].startswith("essayqa-pack") for lo in (4, 12))
+        calls.clear()
+        self.run(monkeypatch, model, batch, 1)
+        assert calls == [(lo, here) for lo in (0, 4, 8, 12)]
+
+    def test_parts_run_under_the_callers_numpy_error_state(self, monkeypatch):
+        model, batch = self.batch(8)
+        seen = []
+
+        def recording_errstate(params, cfg, part, n):
+            seen.append(np.geterr()["divide"])
+            return _part_loss_and_grads(params, cfg, part, n)
+
+        calls = self.record_parts(monkeypatch, batch, recording_errstate)
+        with np.errstate(divide="raise"):
+            self.run(monkeypatch, model, batch, 2)
+        assert calls[1][1].startswith("essayqa-pack")
+        assert seen == ["raise", "raise"]
+
+    def test_a_batch_of_one_part_never_touches_the_pool(self, monkeypatch):
+        model, batch = self.batch(4)
+
+        def no_pool():
+            raise AssertionError("the pool was asked for")
+
+        monkeypatch.setattr(pipeline, "_pack_pool", no_pool)
+        calls = self.record_parts(monkeypatch, batch)
+        self.run(monkeypatch, model, batch, 2)
+        assert calls == [(0, threading.current_thread().name)]
+
+    @pytest.mark.parametrize("failing", [0, 4], ids=["caller-part", "worker-part"])
+    def test_a_failing_part_raises_after_the_other_part_finished(self, monkeypatch, failing):
+        model, batch = self.batch(8)
+        events, lock = [], threading.Lock()
+
+        def slow_or_failing(params, cfg, part, n):
+            lo = batch.index(part[0])
+            if lo == failing:
+                raise RuntimeError(f"part {lo} failed")
+            time.sleep(0.2)
+            with lock:
+                events.append(lo)
+            return _part_loss_and_grads(params, cfg, part, n)
+
+        self.record_parts(monkeypatch, batch, slow_or_failing)
+        with pytest.raises(RuntimeError, match=f"part {failing} failed"):
+            self.run(monkeypatch, model, batch, 2)
+        with lock:
+            assert events == [4 - failing]
 
     def test_batch_gradient_is_the_mean_over_its_examples(self):
         model, batch = self.batch()
@@ -418,11 +512,23 @@ class TestDtype:
 
 class TestCheckpointMatchesConfig:
     def _saved(self, tmp_path, edit):
-        # replace() would refuse the edited tensors, so edit them in place
+        """A checkpoint of a desk model whose tensor directory and payload
+        hold its params with ``edit`` applied.  save_model refuses such a
+        bundle, so the file's tensors are rewritten here."""
         model = desk_model(small_corpus(6))
-        edit(model.params)
         path = tmp_path / "m.ckpt"
         save_model(model, str(path))
+        params = dict(model.params)
+        edit(params)
+        blob = path.read_bytes()
+        start = len(MAGIC) + 8
+        (header_len,) = struct.unpack("<Q", blob[len(MAGIC):start])
+        header = json.loads(blob[start:start + header_len])
+        header["tensors"] = [{"name": name, "shape": list(arr.shape), "dtype": arr.dtype.str[1:]}
+                             for name, arr in params.items()]
+        payload = b"".join(arr.astype(arr.dtype.newbyteorder("<")).tobytes()
+                           for arr in params.values())
+        path.write_bytes(_header_bytes(header) + payload)
         return str(path)
 
     def test_shapes_name_every_initialized_tensor(self):
@@ -576,6 +682,21 @@ class TestMalformedCheckpoint:
         save_model(new_model(SPAN_VOCAB, layers=1, d_model=8, heads=2, ffn_inner=8), str(path))
         self._edit_header(path, lambda header: edit(header["verification"]))
         self._check_rejected(tmp_path, capsys, path, message)
+
+    @pytest.mark.parametrize("assign, message", [
+        (lambda m: setattr(m, "zeta", float("nan")), "zeta must be finite, not nan"),
+        (lambda m: m.params.update({"verify.b": np.zeros(3)}),
+         r"tensor 'verify\.b' has shape \(3,\), config needs \(2,\)"),
+    ], ids=["zeta-nan", "wrong-shape"])
+    def test_save_refuses_a_bundle_it_could_not_load(self, tmp_path, assign, message):
+        """Attribute assignment is not checked, so save_model checks the
+        bundle before it opens the file: no file is left behind."""
+        model = new_model(SPAN_VOCAB, layers=1, d_model=8, heads=2, ffn_inner=8)
+        assign(model)
+        path = tmp_path / "m.ckpt"
+        with pytest.raises(ValidationError, match=message):
+            save_model(model, str(path))
+        assert not path.exists()
 
     @staticmethod
     def _edit_header(path, edit):
